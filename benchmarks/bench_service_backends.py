@@ -19,7 +19,7 @@ over the same file serves the same batch again — the restart must perform
 Acceptance bars:
 
 * every backend and the persistent warm restart return probabilities
-  bit-identical to sequential ``engine.evaluate``;
+  bit-identical to sequential ``repro.api.answer``;
 * the warm restart performs zero solves;
 * on a multi-core host (>= 2 usable CPUs, full mode) the process backend
   is >= 2x faster than serial.  The bar is *physically unmeasurable* on a
@@ -37,10 +37,10 @@ import os
 import time
 from pathlib import Path
 
+from repro.api import answer
 from repro.db.database import PPDatabase
 from repro.db.schema import ORelation, PRelation
 from repro.evaluation.experiments import ExperimentResult
-from repro.query.engine import evaluate
 from repro.query.parser import parse_query
 from repro.rankings.permutation import Ranking
 from repro.rim.mallows import Mallows
@@ -105,7 +105,7 @@ def _serve(db, backend: str, workers: int, cache_db=None):
         backend=backend, max_workers=workers, cache_db=cache_db
     )
     started = time.perf_counter()
-    batch = service.evaluate_many([QUERY], db)
+    batch = service.answer_many([QUERY], db)
     return batch, time.perf_counter() - started
 
 
@@ -113,7 +113,7 @@ def test_service_backends(record_result, tmp_path):
     db = _database()
     n_cpus = _usable_cpus()
     workers = max(2, min(4, n_cpus))
-    reference = evaluate(parse_query(QUERY), db)
+    reference = answer(parse_query(QUERY), db)
 
     timings = {}
     for backend in ("serial", "thread", "process"):

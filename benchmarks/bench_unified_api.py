@@ -12,13 +12,12 @@ Acceptance bars:
   solves than the kind-by-kind evaluation (a Count and a Probability of
   the same query share every solve, so the mixed batch costs the same as
   either kind alone);
-* **bit-identity to the pre-redesign entry points** — ``count_session``,
-  ``aggregate_session_attribute``, and ``most_probable_session`` (both
-  strategies) are compared against verbatim reimplementations of the
-  pre-redesign algorithms over the engine's primitives: expectations,
-  per-session breakdowns, rankings, and effort counters must match
-  exactly, and the unified ``answer()`` must agree with ``evaluate`` on
-  every probability.
+* **bit-identity to the pre-redesign algorithms** — ``answer()`` for
+  Probability, Count, Aggregate, and TopK requests (both strategies) is
+  compared against verbatim reimplementations of the pre-redesign
+  algorithms over the engine's per-session primitives: probabilities,
+  expectations, per-session breakdowns, rankings, and effort counters
+  must match exactly.
 
 ``BENCH_API_QUICK=1`` shrinks the workload for CI smoke runs.  Results are
 written to ``benchmarks/BENCH_api.json`` (committed) and
@@ -33,18 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.__main__ import batch_queries
-from repro.api import answer
+from repro.api import Aggregate, Count, TopK, answer
 from repro.datasets.crowdrank import crowdrank_database
 from repro.evaluation.experiments import ExperimentResult
 from repro.plan.execute import session_upper_bound
-from repro.query.aggregates import (
-    aggregate_session_attribute,
-    count_session,
-    most_probable_session,
-)
 from repro.query.classify import analyze
 from repro.query.compile import labeling_for_patterns
-from repro.query.engine import compile_session_work, evaluate, solve_session
+from repro.query.engine import compile_session_work, solve_session
 from repro.query.parser import parse_query
 from repro.service import PreferenceService
 
@@ -63,27 +57,56 @@ JSON_PATH = Path(__file__).parent / "BENCH_api.json"
 # ----------------------------------------------------------------------
 
 
-def reference_count(query, db):
-    """count_session as it was before the unified API: evaluate + sum."""
-    result = evaluate(query, db)
-    per_session = [(e.key, e.probability) for e in result.per_session]
-    return float(sum(p for _, p in per_session)), per_session
+def session_solver(query, db):
+    """The selected sessions and an exact per-session solve, plan-free."""
+    analysis = analyze(query, db)
+    items = db.prelation(analysis.p_relation).items
+    works = compile_session_work(query, db, analysis=analysis)
+    labelings = {}
+
+    def labeling_of(union):
+        if union not in labelings:
+            labelings[union] = labeling_for_patterns(union.patterns, items, db)
+        return labelings[union]
+
+    def exact(work):
+        if work.union is None:
+            return 0.0
+        probability, _ = solve_session(
+            work.model, labeling_of(work.union), work.union
+        )
+        return probability
+
+    return works, labeling_of, exact
+
+
+def reference_sessions(query, db):
+    """``[(session_key, Pr(Q | s))]`` in session order, one solve each."""
+    works, _, exact = session_solver(query, db)
+    return [(work.key, exact(work)) for work in works]
+
+
+def reference_probability(per_session):
+    """``Pr(Q | D) = 1 - prod_i (1 - Pr(Q | s_i))`` with clamping."""
+    complement = 1.0
+    for _, probability in per_session:
+        complement *= 1.0 - min(1.0, max(0.0, probability))
+    return 1.0 - complement
 
 
 def reference_aggregate(query, db, relation, column, statistic, n_worlds, rng):
-    """aggregate_session_attribute's pre-redesign numpy recipe, verbatim."""
-    result = evaluate(query, db)
+    """The pre-redesign attribute-aggregate numpy recipe, verbatim."""
     attribute_relation = db.orelation(relation)
     column_index = attribute_relation.column_index(column)
     per_session = [
         (
-            e.key,
-            e.probability,
+            key,
+            probability,
             float(
-                attribute_relation.first_row_where({0: e.key[0]})[column_index]
+                attribute_relation.first_row_where({0: key[0]})[column_index]
             ),
         )
-        for e in result.per_session
+        for key, probability in reference_sessions(query, db)
     ]
     probabilities = np.array([p for _, p, _ in per_session])
     values = np.array([v for _, _, v in per_session])
@@ -113,25 +136,8 @@ def reference_aggregate(query, db, relation, column, statistic, n_worlds, rng):
 
 
 def reference_topk(query, db, k, strategy, n_edges):
-    """most_probable_session's pre-redesign loop, verbatim."""
-    analysis = analyze(query, db)
-    items = db.prelation(analysis.p_relation).items
-    works = compile_session_work(query, db, analysis=analysis)
-    labelings = {}
-
-    def labeling_of(union):
-        if union not in labelings:
-            labelings[union] = labeling_for_patterns(union.patterns, items, db)
-        return labelings[union]
-
-    def exact(work):
-        if work.union is None:
-            return 0.0
-        probability, _ = solve_session(
-            work.model, labeling_of(work.union), work.union
-        )
-        return probability
-
+    """The pre-redesign top-k loop, verbatim."""
+    works, labeling_of, exact = session_solver(query, db)
     if strategy == "naive":
         scored = [(w.key, exact(w)) for w in works]
         scored.sort(key=lambda pair: (-pair[1], repr(pair[0])))
@@ -161,6 +167,10 @@ def reference_topk(query, db, k, strategy, n_edges):
     return confirmed[:k], n_exact, len(works)
 
 
+def _breakdown(one):
+    return [(e.key, e.probability) for e in one.per_session]
+
+
 def test_unified_api(record_result):
     db = crowdrank_database(
         n_workers=N_SESSIONS, n_movies=N_MOVIES, seed=DB_SEED
@@ -169,8 +179,8 @@ def test_unified_api(record_result):
 
     # --- kind-by-kind: each kind on its own fresh service --------------
     kind_started = time.perf_counter()
-    prob_batch = PreferenceService().evaluate_many(texts, db)
-    count_batch = PreferenceService().evaluate_many(
+    prob_batch = PreferenceService().answer_many(texts, db)
+    count_batch = PreferenceService().answer_many(
         [f"COUNT {text}" for text in texts], db
     )
     kind_seconds = time.perf_counter() - kind_started
@@ -185,7 +195,7 @@ def test_unified_api(record_result):
         for request in (text, f"COUNT {text}")
     ]
     mixed_started = time.perf_counter()
-    mixed = PreferenceService().evaluate_many(mixed_requests, db)
+    mixed = PreferenceService().answer_many(mixed_requests, db)
     mixed_seconds = time.perf_counter() - mixed_started
 
     dedup_ratio = kind_by_kind_solves / max(mixed.n_distinct_solves, 1)
@@ -202,33 +212,34 @@ def test_unified_api(record_result):
         assert mixed[2 * index].value == prob_batch[index].probability
         assert mixed[2 * index + 1].value == count_batch[index].value
 
-    # --- bit-identity of the deprecated shims --------------------------
+    # --- bit-identity of answer() to the reference algorithms ---------
     check_queries = [parse_query(text) for text in texts[:4]]
     for query in check_queries:
-        expectation, per_session = reference_count(query, db)
-        count = count_session(query, db)
-        assert count.expectation == expectation
-        assert count.per_session == per_session
+        per_session = reference_sessions(query, db)
+        probability = answer(query, db)
+        assert probability.value == reference_probability(per_session)
+        assert _breakdown(probability) == per_session
 
-        result = evaluate(query, db)
-        assert answer(query, db).value == result.probability
+        count = answer(Count(query), db)
+        assert count.value == float(sum(p for _, p in per_session))
+        assert _breakdown(count) == per_session
 
         for strategy in ("naive", "upper_bound"):
             sessions, n_exact, n_upper = reference_topk(
                 query, db, 3, strategy, 1
             )
-            topk = most_probable_session(query, db, k=3, strategy=strategy)
-            assert topk.sessions == sessions
-            assert topk.n_exact_evaluations == n_exact
-            assert topk.n_upper_bound_evaluations == n_upper
+            topk = answer(TopK(query, k=3, strategy=strategy), db)
+            assert topk.ranking == sessions
+            assert topk.stats["n_exact_evaluations"] == n_exact
+            assert topk.stats["n_upper_bound_evaluations"] == n_upper
 
         expectation, probability_any, weighted_average = reference_aggregate(
             query, db, "V", "age", "mean", 10_000, None
         )
-        aggregate = aggregate_session_attribute(query, db, "V", "age")
-        assert aggregate.expectation == expectation
-        assert aggregate.probability_any == probability_any
-        assert aggregate.weighted_average == weighted_average
+        aggregate = answer(Aggregate(query, relation="V", column="age"), db)
+        assert aggregate.value == expectation
+        assert aggregate.stats["probability_any"] == probability_any
+        assert aggregate.stats["weighted_average"] == weighted_average
 
     report = {
         "config": {
@@ -246,10 +257,10 @@ def test_unified_api(record_result):
             "enforced": True,
         },
         "bit_identity": {
-            "count_session": True,
-            "aggregate_session_attribute": True,
-            "most_probable_session": True,
-            "answer_vs_evaluate": True,
+            "probability": True,
+            "count": True,
+            "aggregate": True,
+            "top_k": True,
             "n_queries_checked": len(check_queries),
             "enforced": True,
         },

@@ -25,12 +25,8 @@ Typical use::
     result.expectation            # E[count(Q)]
     result.methods                # the solvers that actually ran
 
-The historical entry points (:func:`repro.query.engine.evaluate`,
-:func:`repro.query.aggregates.count_session`,
-:func:`repro.query.aggregates.aggregate_session_attribute`,
-:func:`repro.query.aggregates.most_probable_session`) are deprecated thin
-wrappers over this module, bit-identical to their pre-redesign outputs.
-See DESIGN.md, "The unified query API".
+This is the only evaluation surface: every kind has one envelope and one
+pipeline.  See DESIGN.md, "The unified query API".
 """
 
 from repro.api.answer import Answer, BatchAnswer

@@ -4,12 +4,6 @@ One :class:`Answer` per request, whatever the kind: the scalar (or
 ranking) ``value``, the per-session breakdown, the *resolved* solver
 methods that actually ran (never the requested string — see
 ``requested_method`` for that), wall time, and cache/plan statistics.
-The historical result dataclasses (:class:`~repro.query.engine
-.QueryResult`, :class:`~repro.query.aggregates.CountResult`,
-:class:`~repro.query.aggregates.AttributeAggregateResult`,
-:class:`~repro.query.aggregates.TopKResult`) are kept as deprecated thin
-envelopes, bit-identical to their pre-redesign outputs; each answer
-carries its legacy twin, reachable via :meth:`Answer.to_legacy`.
 """
 
 from __future__ import annotations
@@ -29,8 +23,11 @@ class Answer:
     expectation of the attribute statistic (``aggregate``), or the ranked
     ``[(session_key, probability), ...]`` list (``top_k``).  ``methods``
     names the distinct solvers that actually ran (resolved, e.g.
-    ``("two_label",)`` — never ``"auto"``); ``stats`` carries kind-specific
-    extras (cache hits, top-k pruning effort, aggregate side estimates).
+    ``("two_label",)`` — never ``"auto"``); ``stats`` carries the solve
+    counters (``n_solver_calls``, ``n_groups``, ``cache_hits``) and
+    kind-specific extras (top-k pruning effort and its
+    ``upper_bound_seconds`` / ``exact_seconds`` split, aggregate side
+    estimates).
     """
 
     request: Any
@@ -42,19 +39,12 @@ class Answer:
     n_sessions: int = 0
     seconds: float = 0.0
     stats: dict = field(default_factory=dict)
-    #: The deprecated pre-redesign result envelope, bit-identical to the
-    #: historical entry point of this kind.
-    legacy: Any = None
     #: The database generation this answer was computed against (the
     #: monotonic counter of :class:`~repro.db.mutable.MutablePPDatabase`),
     #: or ``None`` for a static snapshot.  A reader holding a database at
     #: generation ``g`` can detect a stale answer by ``answer.generation
     #: != g`` — the staleness gauge the standing-query engine exports.
     generation: "int | None" = None
-
-    def to_legacy(self):
-        """The deprecated kind-specific result dataclass (bit-identical)."""
-        return self.legacy
 
     # ------------------------------------------------------------------
     # Kind-checked conveniences
@@ -96,7 +86,6 @@ class Answer:
 class BatchAnswer:
     """Per-request answers plus batch-level cache and timing metadata.
 
-    The mixed-kind sibling of :class:`~repro.service.service.BatchResult`:
     ``answers`` holds one :class:`Answer` per request, in request order;
     the batch counters report how much work mixed-kind common-solve
     elimination and the shared cache saved.

@@ -9,34 +9,24 @@ the surviving frontier through the unchanged solver/cache stack, with the
 kind-specific terminal (count/expectation aggregation, upper-bound-pruned
 top-k, possible-world attribute draws) on top.
 
-:func:`answer` is the single-request entry point, the unified twin of the
-historical :func:`repro.query.engine.evaluate` /
-:func:`repro.query.aggregates.count_session` /
-:func:`repro.query.aggregates.aggregate_session_attribute` /
-:func:`repro.query.aggregates.most_probable_session`, which are now thin
-deprecated wrappers over it.  :func:`answer_many` is the batch entry point
-behind :meth:`repro.service.service.PreferenceService.evaluate_many` for
-mixed-kind request lists.
+:func:`answer` is the single-request entry point; :func:`answer_many` is
+the batch entry point behind
+:meth:`repro.service.service.PreferenceService.answer_many` for mixed-kind
+request lists.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from typing import Any, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
 from repro.api.answer import Answer, BatchAnswer
 from repro.api.requests import QueryRequest, as_request
 from repro.plan.build import build_plan
-from repro.plan.execute import (
-    PlanExecution,
-    assemble_query_result,
-    classify_executed_items,
-    execute_plan,
-    fresh_solve_seconds,
-)
+from repro.plan.execute import PlanExecution, execute_plan
 from repro.plan.methods import APPROXIMATE_METHODS
 from repro.plan.nodes import (
     AttributeAggregateNode,
@@ -46,7 +36,7 @@ from repro.plan.nodes import (
     TopKSessionsNode,
 )
 from repro.plan.passes import optimize_plan
-from repro.query.engine import SessionEvaluation
+from repro.query.engine import SessionEvaluation, aggregate_sessions
 from repro.service.cache import SolverCache
 from repro.service.executors import (
     ExecutionBackend,
@@ -80,11 +70,40 @@ def answer(
 ) -> Answer:
     """Evaluate one typed request (or query/text) through the plan pipeline.
 
-    Parameters mirror :func:`repro.query.engine.evaluate`; the request kind
-    decides the terminal node and the envelope.  The returned answer
-    carries its deprecated kind-specific legacy twin
-    (:meth:`Answer.to_legacy`), bit-identical to the pre-redesign entry
-    point of that kind.
+    The request kind decides the terminal node; every kind returns the
+    one :class:`Answer` envelope.
+
+    Parameters
+    ----------
+    method:
+        An exact solver name (``"auto"``, ``"two_label"``, ``"bipartite"``,
+        ``"general"``, ``"lifted"``, ``"brute"``), an approximate one
+        (``"mis_amp_lite"``, ``"mis_amp_adaptive"``, ``"rejection"``), or
+        ``"auto-approx"`` — auto resolution with an opt-in MIS-AMP fallback
+        for solves whose estimated DP state count exceeds the
+        ``approx_budget`` solver option (requires ``rng`` when it
+        triggers); see :mod:`repro.plan.methods`.
+    group_sessions:
+        Solve each distinct (model, union) pair once (Section 6.4) — the
+        plan's common-solve elimination pass.
+    session_limit:
+        Evaluate only the first N selected sessions (for scalability
+        sweeps).
+    cache:
+        An optional :class:`~repro.service.cache.SolverCache` shared across
+        calls.  Session solves are then grouped by *canonical* key and
+        consulted/stored in the cache before dispatching.  Ignored for the
+        sampling methods (their results are rng-dependent) and when
+        ``group_sessions=False`` (the naive baseline must re-solve every
+        session).  Cross-query hits are reported in
+        ``stats["cache_hits"]``.
+    optimize:
+        Apply the optimizer pass pipeline (default).  ``False`` executes
+        the unoptimized plan — one solve per session, no reordering, and
+        no cache use (canonical keys are an optimizer product).
+    solver_options:
+        Forwarded to the chosen solver (e.g. ``n_proposals=10`` for
+        MIS-AMP-lite, ``time_budget=60`` for exact solvers).
     """
     result, _, _ = answer_with_plan(
         request,
@@ -123,9 +142,9 @@ def answer_with_plan(
     started = time.perf_counter()
     request = as_request(request)
     if request.kind == "top_k" and method in APPROXIMATE_METHODS:
-        # The historical top-k evaluated every session independently, so
-        # rng-driven solves must keep one draw stream per session —
-        # grouping would merge identical sessions and shift the stream.
+        # Approximate top-k evaluates every session independently, so
+        # rng-driven solves keep one draw stream per session — grouping
+        # would merge identical sessions and shift the stream.
         group_sessions = False
     # Canonical cache keys are computed by the optimizer's elimination
     # pass, so the unoptimized reference plan is also cacheless — it is
@@ -157,7 +176,6 @@ def answer_with_plan(
         plan, execution, batched=False, with_cache=use_cache
     )[0]
     result.seconds = time.perf_counter() - started
-    result.legacy.seconds = result.seconds
     result.generation = db_generation(db)
     return result, plan, execution
 
@@ -266,9 +284,7 @@ def parallelism_requested(
 ) -> bool:
     """Did the caller ask for parallelism an rng-driven batch must ignore?
 
-    The one predicate shared by :func:`answer_many` and
-    :meth:`repro.service.service.PreferenceService.evaluate_many`, so the
-    warning cannot depend on batch composition: an explicitly passed
+    The warning must not depend on batch composition: an explicitly passed
     non-serial backend, a process-configured default, or a >1 worker pool
     all count; a defaulted thread backend alone does not (thread
     parallelism over sequential solves is a performance no-op).
@@ -286,7 +302,7 @@ def parallelism_requested(
 
 
 # ----------------------------------------------------------------------
-# Assembly: terminals -> answers (+ their deprecated legacy envelopes)
+# Assembly: terminals -> answers
 # ----------------------------------------------------------------------
 
 
@@ -298,50 +314,64 @@ def assemble_answers(
 ) -> list[Answer]:
     """One :class:`Answer` per terminal, in request order.
 
-    Each answer also carries the deprecated legacy envelope of its kind,
-    assembled through the same counters as the historical entry points so
-    probabilities, expectations, rankings, and solver attributions stay
-    bit-identical.
+    Per request, ``stats["n_solver_calls"]`` counts the solves executed
+    fresh for it, ``stats["n_groups"]`` the distinct solve groups it
+    references, and ``stats["cache_hits"]`` the groups served by the
+    shared cache (plus batch-shared solves in the batch path).  In the
+    batch path ``seconds`` is the measured wall time of the fresh solves
+    the request consumed.
     """
     answers: list[Answer] = []
     for terminal in plan.aggregate_nodes():
         if isinstance(terminal, TopKSessionsNode):
-            answers.append(
-                _assemble_topk(plan, execution, terminal, batched)
-            )
-        elif isinstance(terminal, AttributeAggregateNode):
-            answers.append(
-                _assemble_attribute(
-                    plan, execution, terminal, batched, with_cache
-                )
-            )
-        elif isinstance(terminal, CountSessionsNode):
-            answers.append(
-                _assemble_count(plan, execution, terminal, batched, with_cache)
-            )
+            answers.append(_assemble_topk(plan, execution, terminal, batched))
         else:
             answers.append(
-                _assemble_probability(
+                _assemble_sessions(
                     plan, execution, terminal, batched, with_cache
                 )
             )
     return answers
 
 
-def _resolved_methods(per_session: list[SessionEvaluation]) -> tuple[str, ...]:
-    """Distinct resolved solver names that actually ran, sorted."""
-    return tuple(
-        sorted(
-            {
-                evaluation.solver
-                for evaluation in per_session
-                if evaluation.solver and evaluation.solver != "unsatisfiable"
-            }
+def _classify(
+    plan: QueryPlan, execution: PlanExecution, items
+) -> tuple[list[SessionEvaluation], set, set[int], set[int]]:
+    """Fold executed ``(session_key, solve_id | None)`` pairs.
+
+    Returns ``(per_session, group_keys, fresh_ids, served_ids)``, the one
+    bookkeeping every kind's counters are read from.
+    """
+    per_session: list[SessionEvaluation] = []
+    group_keys: set[Hashable] = set()
+    fresh_ids: set[int] = set()
+    served_ids: set[int] = set()
+    for session_key, solve_id in items:
+        if solve_id is None:
+            per_session.append(
+                SessionEvaluation(session_key, 0.0, "unsatisfiable")
+            )
+            continue
+        probability, solver_name = execution.resolved[solve_id]
+        group_keys.add(plan.nodes[solve_id].group_key)
+        if solve_id in execution.fresh:
+            fresh_ids.add(solve_id)
+        elif solve_id in execution.cache_served:
+            served_ids.add(solve_id)
+        per_session.append(
+            SessionEvaluation(session_key, probability, solver_name)
         )
+    return per_session, group_keys, fresh_ids, served_ids
+
+
+def _fresh_seconds(execution: PlanExecution, fresh_ids) -> float:
+    """Wall time of the fresh solves a terminal consumed (batch path)."""
+    return sum(
+        execution.seconds_by_solve.get(node_id, 0.0) for node_id in fresh_ids
     )
 
 
-def _base_answer(
+def _answer(
     plan: QueryPlan,
     terminal: TerminalNode,
     kind: str,
@@ -349,170 +379,99 @@ def _base_answer(
     per_session: list[SessionEvaluation],
     seconds: float,
     stats: dict,
-    legacy,
 ) -> Answer:
     return Answer(
         request=plan.requests[terminal.query_index],
         kind=kind,
         value=value,
         per_session=per_session,
-        methods=_resolved_methods(per_session),
+        methods=tuple(
+            sorted(
+                {
+                    evaluation.solver
+                    for evaluation in per_session
+                    if evaluation.solver
+                    and evaluation.solver != "unsatisfiable"
+                }
+            )
+        ),
         requested_method=plan.method,
         n_sessions=len(terminal.items),
         seconds=seconds,
         stats=stats,
-        legacy=legacy,
     )
 
 
-def _assemble_probability(
-    plan, execution, terminal, batched: bool, with_cache: bool
+def _assemble_sessions(
+    plan: QueryPlan,
+    execution: PlanExecution,
+    terminal: TerminalNode,
+    batched: bool,
+    with_cache: bool,
 ) -> Answer:
-    result = assemble_query_result(
-        plan, execution, terminal, batched=batched, with_cache=with_cache
+    """Probability, count, and attribute-aggregate terminals."""
+    per_session, group_keys, fresh_ids, served_ids = _classify(
+        plan, execution, terminal.items
     )
-    stats = dict(result.stats)
-    stats.update(
-        n_solver_calls=result.n_solver_calls, n_groups=result.n_groups
-    )
-    return _base_answer(
-        plan,
-        terminal,
-        "probability",
-        result.probability,
-        result.per_session,
-        result.seconds,
-        stats,
-        result,
-    )
-
-
-def _assemble_count(
-    plan, execution, terminal, batched: bool, with_cache: bool
-) -> Answer:
-    # Deferred: the aggregates module wraps back into this package.
-    from repro.query.aggregates import CountResult
-
-    result = assemble_query_result(
-        plan, execution, terminal, batched=batched, with_cache=with_cache
-    )
-    per_session = [
-        (evaluation.key, evaluation.probability)
-        for evaluation in result.per_session
-    ]
-    resolved = _resolved_methods(result.per_session)
-    legacy = CountResult(
-        expectation=float(sum(p for _, p in per_session)),
-        per_session=per_session,
-        seconds=result.seconds,
-        method=plan.method,
-        resolved_methods=resolved,
-    )
-    stats = dict(result.stats)
-    stats.update(
-        n_solver_calls=result.n_solver_calls, n_groups=result.n_groups
-    )
-    return _base_answer(
-        plan,
-        terminal,
-        "count",
-        legacy.expectation,
-        result.per_session,
-        result.seconds,
-        stats,
-        legacy,
-    )
-
-
-def _assemble_attribute(
-    plan, execution, terminal, batched: bool, with_cache: bool
-) -> Answer:
-    from repro.query.aggregates import AttributeAggregateResult
-
-    result = assemble_query_result(
-        plan, execution, terminal, batched=batched, with_cache=with_cache
-    )
-    outcome = execution.attribute[terminal.node_id]
-    per_session = [
-        (
-            evaluation.key,
-            evaluation.probability,
-            terminal.values[evaluation.key],
+    stats: dict[str, Any]
+    if batched:
+        stats = {
+            "batched": True,
+            "cache_hits": len(group_keys) - len(fresh_ids),
+        }
+        seconds = _fresh_seconds(execution, fresh_ids)
+    else:
+        stats = {"cache_hits": len(served_ids)} if with_cache else {}
+        seconds = execution.seconds
+    stats.update(n_solver_calls=len(fresh_ids), n_groups=len(group_keys))
+    if isinstance(terminal, AttributeAggregateNode):
+        outcome = execution.attribute[terminal.node_id]
+        stats.update(
+            probability_any=outcome.probability_any,
+            weighted_average=outcome.weighted_average,
+            n_worlds=terminal.n_worlds,
+            statistic=terminal.statistic,
         )
-        for evaluation in result.per_session
-    ]
-    legacy = AttributeAggregateResult(
-        expectation=outcome.expectation,
-        probability_any=outcome.probability_any,
-        weighted_average=outcome.weighted_average,
-        n_worlds=terminal.n_worlds,
-        per_session=per_session,
-        seconds=result.seconds,
-    )
-    stats = dict(result.stats)
-    stats.update(
-        n_solver_calls=result.n_solver_calls,
-        n_groups=result.n_groups,
-        probability_any=outcome.probability_any,
-        weighted_average=outcome.weighted_average,
-        n_worlds=terminal.n_worlds,
-        statistic=terminal.statistic,
-    )
-    return _base_answer(
-        plan,
-        terminal,
-        "aggregate",
-        outcome.expectation,
-        result.per_session,
-        result.seconds,
-        stats,
-        legacy,
-    )
+        kind, value = "aggregate", outcome.expectation
+    elif isinstance(terminal, CountSessionsNode):
+        kind = "count"
+        value = float(sum(evaluation.probability for evaluation in per_session))
+    else:
+        kind, value = "probability", aggregate_sessions(per_session)
+    return _answer(plan, terminal, kind, value, per_session, seconds, stats)
 
 
-def _assemble_topk(plan, execution, terminal, batched: bool) -> Answer:
-    from repro.query.aggregates import TopKResult
-
+def _assemble_topk(
+    plan: QueryPlan,
+    execution: PlanExecution,
+    terminal: TopKSessionsNode,
+    batched: bool,
+) -> Answer:
     outcome = execution.topk[terminal.node_id]
     # Classify only the sessions the adaptive frontier actually evaluated;
     # pruned solves never resolved and stay out of the breakdown.
-    per_session, _, fresh_ids, served_ids = classify_executed_items(
+    per_session, _, fresh_ids, served_ids = _classify(
         plan, execution, outcome.evaluated
     )
     if batched:
-        seconds = fresh_solve_seconds(execution, fresh_ids)
+        seconds = _fresh_seconds(execution, fresh_ids)
     else:
         seconds = execution.seconds
-    pruning = terminal.strategy == "upper_bound"
-    legacy = TopKResult(
-        sessions=outcome.confirmed[: terminal.k],
-        k=terminal.k,
-        strategy=terminal.strategy,
-        n_exact_evaluations=outcome.n_exact,
-        n_upper_bound_evaluations=outcome.n_upper_bound,
-        seconds=seconds,
-        upper_bound_seconds=outcome.upper_bound_seconds,
-        exact_seconds=outcome.exact_seconds,
-        stats=(
-            {"n_sessions": len(terminal.items), "n_edges": terminal.n_edges}
-            if pruning
-            else {}
-        ),
-    )
     stats = {
         "n_solver_calls": len(fresh_ids),
         "cache_hits": len(served_ids),
         "n_exact_evaluations": outcome.n_exact,
         "n_upper_bound_evaluations": outcome.n_upper_bound,
         "n_pruned": len(terminal.items) - outcome.n_exact,
+        "upper_bound_seconds": outcome.upper_bound_seconds,
+        "exact_seconds": outcome.exact_seconds,
     }
-    return _base_answer(
+    return _answer(
         plan,
         terminal,
         "top_k",
-        legacy.sessions,
+        outcome.confirmed[: terminal.k],
         per_session,
         seconds,
         stats,
-        legacy,
     )

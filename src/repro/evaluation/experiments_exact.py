@@ -14,12 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.api.evaluate import answer
+from repro.api.requests import TopK
 from repro.approx.adaptive import mis_amp_adaptive
 from repro.datasets.benchmarks import benchmark_a, benchmark_c, benchmark_d
 from repro.datasets.polls import polls_database
 from repro.evaluation.harness import Timer, percentile, relative_error
 from repro.patterns.pattern import pattern_conjunction
-from repro.query.aggregates import most_probable_session
 from repro.query.compile import labeling_for_patterns
 from repro.query.engine import compile_session_work
 from repro.query.parser import parse_query
@@ -379,20 +380,20 @@ def figure_8(
         ],
     )
     for k in k_values:
-        naive = most_probable_session(query, db, k=k, strategy="naive")
+        naive = answer(TopK(query, k=k, strategy="naive"), db)
         result.rows.append(
-            [k, "full", naive.seconds, 0.0, naive.exact_seconds,
-             naive.n_exact_evaluations, True]
+            [k, "full", naive.seconds, 0.0, naive.stats["exact_seconds"],
+             naive.stats["n_exact_evaluations"], True]
         )
-        naive_probabilities = sorted((p for _, p in naive.sessions), reverse=True)
+        naive_probabilities = sorted((p for _, p in naive.ranking), reverse=True)
         for n_edges in (1, 2):
-            optimized = most_probable_session(
-                query, db, k=k, strategy="upper_bound", n_edges=n_edges
+            optimized = answer(
+                TopK(query, k=k, strategy="upper_bound", n_edges=n_edges), db
             )
             # Ties are broken arbitrarily, so agreement is on the top-k
             # probability multiset, not the session identities.
             optimized_probabilities = sorted(
-                (p for _, p in optimized.sessions), reverse=True
+                (p for _, p in optimized.ranking), reverse=True
             )
             agrees = all(
                 abs(a - b) < 1e-9
@@ -403,9 +404,9 @@ def figure_8(
                     k,
                     f"{n_edges}-edge",
                     optimized.seconds,
-                    optimized.upper_bound_seconds,
-                    optimized.exact_seconds,
-                    optimized.n_exact_evaluations,
+                    optimized.stats["upper_bound_seconds"],
+                    optimized.stats["exact_seconds"],
+                    optimized.stats["n_exact_evaluations"],
                     agrees,
                 ]
             )

@@ -1,10 +1,9 @@
 """The query planner: an explicit plan IR with cost-based optimization.
 
-Evaluation used to be a monolithic path inside :func:`repro.query.engine
-.evaluate`, with the serving layer re-deriving its own dedup and ordering.
-This package makes the plan explicit (the seam classic probabilistic-
-database engines optimize through — Dalvi & Suciu's safe plans, Li &
-Deshpande's consensus answers both rewrite plans, not evaluators):
+Every request, single or batched, is evaluated through one explicit plan
+(the seam classic probabilistic-database engines optimize through —
+Dalvi & Suciu's safe plans, Li & Deshpande's consensus answers both
+rewrite plans, not evaluators):
 
 * :mod:`repro.plan.nodes` — the typed DAG
   (``SelectSessions -> GroundSessions -> CompileUnion -> Solve ->
@@ -16,7 +15,7 @@ Deshpande's consensus answers both rewrite plans, not evaluators):
   method resolution, cost annotation, common-solve elimination, LPT
   ordering);
 * :mod:`repro.plan.execute` — the executor running the frontier through
-  the unchanged solver/cache stack, bit-identical to the pre-plan engine;
+  the solver/cache stack and the aggregate-aware terminals;
 * :mod:`repro.plan.explain` — the ``explain()`` renderer behind
   ``python -m repro explain``.
 
@@ -36,8 +35,6 @@ from repro.plan.execute import (
     AttributeOutcome,
     PlanExecution,
     TopKOutcome,
-    assemble_query_result,
-    assemble_results,
     execute_plan,
     session_upper_bound,
 )
@@ -95,8 +92,6 @@ __all__ = [
     "TopKOutcome",
     "TopKSessionsNode",
     "annotate_costs",
-    "assemble_query_result",
-    "assemble_results",
     "build_plan",
     "session_upper_bound",
     "classic_choice",

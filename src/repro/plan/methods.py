@@ -5,9 +5,9 @@ solver dispatch, the query engine, and the cache-key module — which meant a
 bug in any one of them could make an auto request and its explicit twin
 disagree on cache keys or solver attribution.  This module is now the one
 resolution point: the plan's method-resolution pass calls
-:func:`resolve_solve_method` per solve node, and the legacy entry points
-(:func:`repro.solvers.dispatch.resolve_method`,
-:mod:`repro.service.keys`) delegate here.
+:func:`resolve_solve_method` per solve node, and the solver dispatch
+(:func:`repro.solvers.dispatch.resolve_method`) and
+:mod:`repro.service.keys` delegate here.
 
 Resolution is *cost-based*: for ``"auto"`` the applicable exact solvers are
 ranked by the planner's DP state-count estimate

@@ -38,8 +38,8 @@ share solver work.
 The IR deliberately reuses the engine's value types (models, labelings,
 :class:`~repro.patterns.union.PatternUnion`) rather than re-encoding them:
 a plan is a *schedule over existing work units*, and executing it through
-the unchanged solver/cache stack is what keeps results bit-identical to the
-pre-plan evaluate path.  See DESIGN.md, "The query planner".
+the unchanged solver/cache stack is what keeps results bit-identical
+across plan shapes, backends, and cache tiers.  See DESIGN.md, "The query planner".
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ class AttributeAggregateNode(TerminalNode):
 
 @dataclass
 class CombineQueriesNode(PlanNode):
-    """The batch root: per-query aggregates combined into one BatchResult."""
+    """The batch root: per-request terminals combined into one BatchAnswer."""
 
     n_queries: int = 0
 

@@ -10,21 +10,14 @@ The pipeline:
    union of itemwise CQs by instantiating ``V+(Q)`` over active domains;
 4. :mod:`repro.query.compile` — itemwise CQ → label pattern + labeling;
 5. :mod:`repro.query.engine` — per-session inference, independent-session
-   aggregation, and the identical-request grouping of Section 6.4;
-6. :mod:`repro.query.aggregates` — Count-Session and Most-Probable-Session
-   (with the top-k upper-bound optimization of Section 3.2).
+   aggregation, and the identical-request grouping of Section 6.4.
 
-Since the unified query API, :func:`evaluate` and the aggregate functions
-are thin deprecated wrappers over :mod:`repro.api`: every query kind is a
-typed request evaluated through the plan pipeline (:mod:`repro.plan`),
-with these entry points kept bit-identical for compatibility.
+Queries are evaluated through the unified API (:func:`repro.api.answer`):
+every query kind — probability, Count-Session, Most-Probable-Session, and
+attribute aggregates — is a typed request run through the plan pipeline
+(:mod:`repro.plan`).
 """
 
-from repro.query.aggregates import (
-    aggregate_session_attribute,
-    count_session,
-    most_probable_session,
-)
 from repro.query.ast import (
     Comparison,
     ConjunctiveQuery,
@@ -35,7 +28,7 @@ from repro.query.ast import (
     WILDCARD,
 )
 from repro.query.classify import QueryAnalysis, UnsupportedQueryError, analyze
-from repro.query.engine import QueryResult, SessionEvaluation, evaluate
+from repro.query.engine import SessionEvaluation
 from repro.query.ground import decompose_query
 from repro.query.parser import QuerySyntaxError, parse_query
 
@@ -53,10 +46,5 @@ __all__ = [
     "QueryAnalysis",
     "UnsupportedQueryError",
     "decompose_query",
-    "evaluate",
-    "QueryResult",
     "SessionEvaluation",
-    "count_session",
-    "most_probable_session",
-    "aggregate_session_attribute",
 ]

@@ -28,6 +28,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -94,7 +95,7 @@ class HTTPServer:
                 method, path, headers, parse_error, body = request
                 client_id = headers.get("x-client-id", peer_id)
                 if parse_error is not None:
-                    status, payload, extra = 400, parse_error, {}
+                    status, payload, extra = parse_error["status"], parse_error, {}
                 else:
                     status, payload, extra = await self.app.handle(
                         method, path, body, client_id
@@ -122,8 +123,16 @@ class HTTPServer:
                 pass
 
     async def _read_request(self, reader):
-        """Parse one request; None on EOF, an error body on bad syntax."""
-        request_line = await reader.readline()
+        """Parse one request; None on EOF, an error body on bad syntax.
+
+        Every error body carries the ``status`` to answer with; the
+        connection is closed after an error response.
+        """
+        too_long = {"error": "request line or header too long", "status": 431}
+        try:
+            request_line = await reader.readline()
+        except ValueError:  # the line overran the stream's buffer limit
+            return "GET", "/", {}, too_long, None
         if not request_line:
             return None
         parts = request_line.decode("latin-1").strip().split()
@@ -131,17 +140,22 @@ class HTTPServer:
             return "GET", "/", {}, {"error": "malformed request line",
                                     "status": 400}, None
         method, target, _version = parts
+        path = target.split("?", 1)[0]
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return method, path, headers, too_long, None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        path = target.split("?", 1)[0]
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             return method, path, headers, {
                 "error": "invalid Content-Length", "status": 400}, None
         if length > MAX_BODY_BYTES:

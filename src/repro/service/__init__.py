@@ -21,10 +21,10 @@ persistence, planning"):
 * :mod:`repro.service.planner` — DP state-count estimates and the
   largest-first (LPT) schedule of a batch's pending solves;
 * :mod:`repro.service.service` — the :class:`PreferenceService` batch API
-  (``evaluate_many``) that groups sessions across whole batches of queries
+  (``answer_many``) that groups sessions across whole batches of requests
   and runs the distinct solves on the configured backend.
 
-``PreferenceService``/``BatchResult`` are re-exported lazily: the query
+``PreferenceService`` is re-exported lazily: the query
 engine imports :mod:`repro.service.keys` at load time, and an eager import
 of :mod:`repro.service.service` here would close an import cycle back into
 the engine.
@@ -77,14 +77,11 @@ __all__ = [
     "session_cache_key",
     "solve_cache_key",
     "PreferenceService",
-    "BatchResult",
 ]
-
-_LAZY = {"PreferenceService", "BatchResult"}
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
+    if name == "PreferenceService":
         from repro.service import service as _service
 
         return getattr(_service, name)

@@ -1,6 +1,6 @@
 """Pluggable execution backends for the serving layer's distinct solves.
 
-:meth:`PreferenceService.evaluate_many` reduces a batch of queries to a
+:meth:`PreferenceService.answer_many` reduces a batch of requests to a
 deduplicated work list of session solves.  This module is where that list
 actually runs.  Three backends share one contract:
 
@@ -347,8 +347,8 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Turn a backend spec (name, instance, or None) into a backend.
 
-    ``None`` defaults to ``thread`` (the historical behavior of
-    ``evaluate_many``); an instance passes through untouched, ignoring
+    ``None`` defaults to ``thread`` (the service's default); an instance
+    passes through untouched, ignoring
     ``max_workers`` (the instance already owns its pool size).
     """
     if isinstance(backend, ExecutionBackend):

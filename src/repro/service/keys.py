@@ -132,8 +132,8 @@ def session_cache_key(
 ) -> tuple:
     """The key of one engine-level session solve (the model may be a mixture).
 
-    Used by :func:`repro.query.engine.evaluate` and the
-    :class:`~repro.service.service.PreferenceService`; the cached value is a
+    Used by the plan optimizer's canonical elimination pass
+    (:mod:`repro.plan.passes`); the cached value is a
     ``(probability, solver_name)`` pair.  The tag keeps these entries
     disjoint from dispatch-level entries, whose values have a different
     type.

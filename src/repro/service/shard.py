@@ -492,6 +492,7 @@ class ShardCacheServer:
         bound_host, bound_port = self._listener.getsockname()[:2]
         self._address = f"{bound_host}:{bound_port}"
         self._threads: list[threading.Thread] = []
+        self._connections: set[socket.socket] = set()
         accept_thread = threading.Thread(
             target=self._accept_loop, name="shard-accept", daemon=True
         )
@@ -516,6 +517,10 @@ class ShardCacheServer:
                 daemon=True,
             )
             with self._lock:
+                if self._closed.is_set():
+                    connection.close()
+                    return
+                self._connections.add(connection)
                 self._threads.append(handler)
                 self._threads = [
                     thread for thread in self._threads if thread.is_alive()
@@ -524,21 +529,28 @@ class ShardCacheServer:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         with connection:
-            while not self._closed.is_set():
-                try:
-                    request = _recv_frame(connection)
-                except Exception:
-                    return  # disconnect or garbage frame: drop the peer
-                try:
-                    response: tuple[str, Any] = ("ok", self._handle(request))
-                except ShardProtocolError as error:
-                    response = ("err", str(error))
-                except Exception as error:  # never kill the handler thread
-                    response = ("err", f"{type(error).__name__}: {error}")
-                try:
-                    _send_frame(connection, response)
-                except OSError:
-                    return
+            try:
+                self._serve_frames(connection)
+            finally:
+                with self._lock:
+                    self._connections.discard(connection)
+
+    def _serve_frames(self, connection: socket.socket) -> None:
+        while not self._closed.is_set():
+            try:
+                request = _recv_frame(connection)
+            except Exception:
+                return  # disconnect or garbage frame: drop the peer
+            try:
+                response: tuple[str, Any] = ("ok", self._handle(request))
+            except ShardProtocolError as error:
+                response = ("err", str(error))
+            except Exception as error:  # never kill the handler thread
+                response = ("err", f"{type(error).__name__}: {error}")
+            try:
+                _send_frame(connection, response)
+            except OSError:
+                return
 
     def _handle(self, request: object) -> Any:
         if not (isinstance(request, tuple) and request):
@@ -593,15 +605,24 @@ class ShardCacheServer:
         raise ShardProtocolError(f"unknown shard op {op!r}")
 
     def close(self) -> None:
-        """Stop accepting, drop connections, close the write-back files."""
-        self._closed.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=5.0)
+        """Stop accepting, drop connections, close the write-back files.
+
+        Closing a socket does not wake a thread blocked on it, so the
+        listener and every live connection are shut down first: the
+        blocked ``accept()`` and ``recv()`` calls return at once and the
+        joins below do not wait out their timeouts.
+        """
         with self._lock:
+            self._closed.set()
+            sockets = [self._listener, *self._connections]
             threads = list(self._threads)
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never connected, or the peer already left
+        self._listener.close()
+        self._accept_thread.join(timeout=5.0)
         for thread in threads:
             thread.join(timeout=1.0)
         self.group.close()

@@ -1,5 +1,5 @@
 """Tests for the unified query API (repro.api): grammar, routing, answers,
-mixed-kind batch dedup, deprecation-shim bit-identity, and explain."""
+mixed-kind batch dedup, reference top-k/aggregate algorithms, and explain."""
 
 import numpy as np
 import pytest
@@ -20,14 +20,8 @@ from repro.datasets.crowdrank import crowdrank_database
 from repro.db.examples import polling_example
 from repro.plan import build_plan, optimize_plan
 from repro.plan.execute import execute_plan
-from repro.query.aggregates import (
-    aggregate_session_attribute,
-    count_session,
-    most_probable_session,
-)
-from repro.query.engine import evaluate
 from repro.query.parser import QuerySyntaxError, parse_query
-from repro.service.service import BatchResult, PreferenceService
+from repro.service.service import PreferenceService
 
 POLLS_Q = "P(_, _; c1; c2), C(c1, 'D', _, _, e, _), C(c2, 'R', _, _, e, _)"
 CROWD_Q = "P(v; m1; m2), M(m1, _, 'F', _, _), M(m2, 'Thriller', _, _, _)"
@@ -199,46 +193,42 @@ class TestParserPositions:
 
 
 class TestAnswer:
-    def test_probability_answer_matches_evaluate(self, polls_db):
-        result = evaluate(parse_query(POLLS_Q), polls_db)
+    def test_probability_answer_aggregates_sessions(self, polls_db):
         one = answer(POLLS_Q, polls_db)
         assert isinstance(one, Answer)
         assert one.kind == "probability"
-        assert one.probability == result.probability
-        assert one.value == result.probability
-        assert [e.probability for e in one.per_session] == [
-            e.probability for e in result.per_session
-        ]
-        assert one.to_legacy().probability == result.probability
+        assert one.probability == one.value
+        complement = 1.0
+        for evaluation in one.per_session:
+            complement *= 1.0 - evaluation.probability
+        assert one.value == pytest.approx(1.0 - complement, abs=1e-12)
+        assert one.stats["n_solver_calls"] == one.stats["n_groups"] > 0
 
     def test_methods_are_resolved_not_requested(self, polls_db):
         one = answer(POLLS_Q, polls_db)
         assert one.requested_method == "auto"
         assert one.methods and "auto" not in one.methods
-        solvers = {e.solver for e in evaluate(parse_query(POLLS_Q), polls_db).per_session}
-        assert set(one.methods) == solvers
+        assert set(one.methods) == {e.solver for e in one.per_session}
 
     def test_count_answer(self, polls_db):
         one = answer(f"COUNT {POLLS_Q}", polls_db)
-        result = evaluate(parse_query(POLLS_Q), polls_db)
+        result = answer(POLLS_Q, polls_db)
         assert one.kind == "count"
         assert one.expectation == pytest.approx(
             sum(e.probability for e in result.per_session)
         )
-        legacy = one.to_legacy()
-        assert legacy.expectation == one.value
-        assert legacy.method == "auto"
-        assert legacy.resolved_methods == one.methods
+        assert one.requested_method == "auto"
+        assert one.methods == result.methods
 
     def test_topk_answer(self, polls_db):
         one = answer(f"TOPK 2 {POLLS_Q}", polls_db)
         assert one.kind == "top_k"
         assert len(one.ranking) == 2
-        legacy = one.to_legacy()
-        assert legacy.sessions == one.value
-        assert legacy.k == 2
+        assert one.request.k == 2
         # The paper's pruning bookkeeping survives in the answer stats.
         assert one.stats["n_upper_bound_evaluations"] == 3
+        assert one.stats["upper_bound_seconds"] >= 0.0
+        assert one.stats["exact_seconds"] >= 0.0
 
     def test_aggregate_answer(self, polls_db):
         one = answer(
@@ -246,9 +236,9 @@ class TestAnswer:
             rng=np.random.default_rng(0),
         )
         assert one.kind == "aggregate"
-        legacy = one.to_legacy()
-        assert one.value == legacy.expectation
-        assert one.stats["probability_any"] == legacy.probability_any
+        assert one.value == one.expectation
+        assert 0.0 < one.stats["probability_any"] <= 1.0
+        assert one.stats["n_worlds"] == 10_000
         assert 20.0 <= one.value <= 50.0  # ages in the polls example
 
     def test_kind_checked_accessors(self, polls_db):
@@ -264,9 +254,9 @@ class TestAnswer:
         assert answer(Probability(query), polls_db).kind == "probability"
         assert answer(Count(query), polls_db).kind == "count"
         topk = answer(TopK(query, k=1, strategy="naive"), polls_db)
-        assert topk.to_legacy().strategy == "naive"
-        assert topk.to_legacy().n_upper_bound_evaluations == 0
-        assert topk.to_legacy().stats == {}
+        assert topk.request.strategy == "naive"
+        assert topk.stats["n_upper_bound_evaluations"] == 0
+        assert topk.stats["upper_bound_seconds"] == 0.0
 
     def test_aggregate_missing_row_raises_key_error(self, polls_db):
         with pytest.raises(KeyError):
@@ -274,25 +264,25 @@ class TestAnswer:
 
 
 # ----------------------------------------------------------------------
-# Deprecation-shim bit-identity
+# Per-kind answers against independent references
 # ----------------------------------------------------------------------
 
 
-class TestShimBitIdentity:
-    """The four legacy entry points delegate without changing a bit."""
+class TestKindReferences:
+    """Each kind's terminal against a reference computed without it."""
 
-    def test_count_session_is_evaluate_sum(self, crowd_db):
+    def test_count_is_probability_session_sum(self, crowd_db):
         q = parse_query(CROWD_Q)
-        count = count_session(q, crowd_db)
-        result = evaluate(q, crowd_db)
+        count = answer(Count(q), crowd_db)
+        result = answer(q, crowd_db)
         assert count.expectation == float(
             sum(e.probability for e in result.per_session)
         )
-        assert count.per_session == [
+        assert [(e.key, e.probability) for e in count.per_session] == [
             (e.key, e.probability) for e in result.per_session
         ]
-        assert count.method == "auto"
-        assert count.resolved_methods == tuple(
+        assert count.requested_method == "auto"
+        assert count.methods == tuple(
             sorted(
                 {
                     e.solver
@@ -303,7 +293,7 @@ class TestShimBitIdentity:
         )
 
     def test_topk_matches_reference_loop(self, crowd_db):
-        """most_probable_session == the pre-redesign algorithm, verbatim."""
+        """Top-k answers == the paper's top-k algorithm, written out."""
         from repro.plan.execute import session_upper_bound
         from repro.query.classify import analyze
         from repro.query.compile import labeling_for_patterns
@@ -331,15 +321,13 @@ class TestShimBitIdentity:
             return probability
 
         for k in (1, 3):
-            naive = most_probable_session(q, crowd_db, k=k, strategy="naive")
+            naive = answer(TopK(q, k=k, strategy="naive"), crowd_db)
             scored = [(w.key, exact(w)) for w in works]
             scored.sort(key=lambda pair: (-pair[1], repr(pair[0])))
-            assert naive.sessions == scored[:k]
-            assert naive.n_exact_evaluations == len(works)
+            assert naive.ranking == scored[:k]
+            assert naive.stats["n_exact_evaluations"] == len(works)
 
-            pruned = most_probable_session(
-                q, crowd_db, k=k, strategy="upper_bound"
-            )
+            pruned = answer(TopK(q, k=k, strategy="upper_bound"), crowd_db)
             bounded = [
                 (
                     0.0
@@ -361,43 +349,40 @@ class TestShimBitIdentity:
                 confirmed.append((work.key, exact(work)))
                 n_exact += 1
             confirmed.sort(key=lambda pair: (-pair[1], repr(pair[0])))
-            assert pruned.sessions == confirmed[:k]
-            assert pruned.n_exact_evaluations == n_exact
-            assert pruned.n_upper_bound_evaluations == len(works)
-            assert pruned.stats == {"n_sessions": len(works), "n_edges": 1}
+            assert pruned.ranking == confirmed[:k]
+            assert pruned.stats["n_exact_evaluations"] == n_exact
+            assert pruned.stats["n_upper_bound_evaluations"] == len(works)
+            assert pruned.n_sessions == len(works)
 
     def test_topk_prunes_lazy_solves(self, crowd_db):
-        pruned = most_probable_session(
-            parse_query(CROWD_Q), crowd_db, k=1, strategy="upper_bound"
+        pruned = answer(
+            TopK(CROWD_Q, k=1, strategy="upper_bound"), crowd_db
         )
-        assert pruned.n_exact_evaluations < pruned.n_upper_bound_evaluations
+        assert (
+            pruned.stats["n_exact_evaluations"]
+            < pruned.stats["n_upper_bound_evaluations"]
+        )
 
     def test_rng_topk_stream_is_unchanged(self, crowd_db):
-        """Approximate top-k draws one stream per session, as before."""
-        q = parse_query(CROWD_Q)
-        first = most_probable_session(
-            q, crowd_db, k=2, strategy="upper_bound",
+        """Approximate top-k draws one stream per session."""
+        request = TopK(CROWD_Q, k=2, strategy="upper_bound")
+        first = answer(
+            request, crowd_db,
             method="rejection", rng=np.random.default_rng(5), n_samples=200,
         )
-        second = most_probable_session(
-            q, crowd_db, k=2, strategy="upper_bound",
+        second = answer(
+            request, crowd_db,
             method="rejection", rng=np.random.default_rng(5), n_samples=200,
         )
-        assert first.sessions == second.sessions
+        assert first.ranking == second.ranking
 
     def test_aggregate_default_rng_is_stable(self, crowd_db):
-        q = parse_query(CROWD_Q)
-        first = aggregate_session_attribute(q, crowd_db, "V", "age")
-        second = aggregate_session_attribute(q, crowd_db, "V", "age")
+        request = Aggregate(CROWD_Q, relation="V", column="age")
+        first = answer(request, crowd_db)
+        second = answer(request, crowd_db)
         assert first.expectation == second.expectation
-        assert first.probability_any == second.probability_any
-        assert first.n_worlds == 10_000
-
-    def test_evaluate_stays_a_query_result(self, polls_db):
-        result = evaluate(parse_query(POLLS_Q), polls_db)
-        assert result.method == "auto"
-        assert result.stats == {}
-        assert result.grouped is True
+        assert first.stats["probability_any"] == second.stats["probability_any"]
+        assert first.stats["n_worlds"] == 10_000
 
 
 # ----------------------------------------------------------------------
@@ -408,21 +393,20 @@ class TestShimBitIdentity:
 class TestMixedBatches:
     def test_mixed_kinds_share_solves(self, crowd_db):
         """Count + Probability of the same query cost one set of solves."""
-        prob_only = PreferenceService().evaluate_many([CROWD_Q], crowd_db)
-        count_only = PreferenceService().evaluate_many(
+        prob_only = PreferenceService().answer_many([CROWD_Q], crowd_db)
+        count_only = PreferenceService().answer_many(
             [f"COUNT {CROWD_Q}"], crowd_db
         )
-        mixed = PreferenceService().evaluate_many(
+        mixed = PreferenceService().answer_many(
             [CROWD_Q, f"COUNT {CROWD_Q}"], crowd_db
         )
-        assert isinstance(prob_only, BatchResult)
         assert isinstance(mixed, BatchAnswer)
         assert mixed.n_distinct_solves == prob_only.n_distinct_solves
         assert mixed.n_distinct_solves == count_only.n_distinct_solves
 
     def test_mixed_batch_values_match_single_requests(self, crowd_db):
         service = PreferenceService()
-        mixed = service.evaluate_many(
+        mixed = service.answer_many(
             [
                 CROWD_Q,
                 f"COUNT {CROWD_Q}",
@@ -434,25 +418,23 @@ class TestMixedBatches:
         assert [one.kind for one in mixed] == [
             "probability", "count", "top_k", "aggregate",
         ]
-        sequential = evaluate(parse_query(CROWD_Q), crowd_db)
+        sequential = answer(CROWD_Q, crowd_db)
         assert mixed[0].value == sequential.probability
         assert mixed[1].value == pytest.approx(
             sum(e.probability for e in sequential.per_session)
         )
-        solo_topk = most_probable_session(
-            parse_query(CROWD_Q), crowd_db, k=2
-        )
-        assert mixed[2].value == solo_topk.sessions
-        solo_aggregate = aggregate_session_attribute(
-            parse_query(CROWD_Q), crowd_db, "V", "age"
+        solo_topk = answer(TopK(CROWD_Q, k=2), crowd_db)
+        assert mixed[2].value == solo_topk.ranking
+        solo_aggregate = answer(
+            Aggregate(CROWD_Q, relation="V", column="age"), crowd_db
         )
         assert mixed[3].value == solo_aggregate.expectation
 
     def test_warm_mixed_batch_is_all_cache_hits(self, crowd_db):
         service = PreferenceService()
         requests = [CROWD_Q, f"COUNT {CROWD_Q}"]
-        service.evaluate_many(requests, crowd_db)
-        warm = service.evaluate_many(requests, crowd_db)
+        service.answer_many(requests, crowd_db)
+        warm = service.answer_many(requests, crowd_db)
         assert warm.n_distinct_solves == 0
         assert warm.n_cache_hits > 0
 
@@ -464,23 +446,6 @@ class TestMixedBatches:
         assert batch.n_requests == 3
         assert len(batch.values) == 3
         assert batch.backend == "serial"
-
-    def test_pure_boolean_batch_is_bit_identical(self, crowd_db):
-        """The historical BatchResult path survives the redesign."""
-        service = PreferenceService()
-        batch = service.evaluate_many([CROWD_Q, CROWD_Q], crowd_db)
-        assert isinstance(batch, BatchResult)
-        sequential = evaluate(parse_query(CROWD_Q), crowd_db)
-        for result in batch:
-            assert result.probability == sequential.probability
-            assert [(e.key, e.probability, e.solver) for e in result.per_session] == [
-                (e.key, e.probability, e.solver)
-                for e in sequential.per_session
-            ]
-
-    def test_service_evaluate_rejects_non_boolean(self, polls_db):
-        with pytest.raises(TypeError, match="answer"):
-            PreferenceService().evaluate(f"COUNT {POLLS_Q}", polls_db)
 
     def test_approximate_mixed_batch_runs_sequentially(self, polls_db):
         batch = answer_many(
@@ -562,17 +527,6 @@ class TestAggregateExplain:
         text = plan.explain(execution)
         assert "[exact=" in text
         assert "[pruned]" in text  # lazy solves the bound pruning skipped
-
-    def test_boolean_assembly_rejects_pruned_topk_plans(self, crowd_db):
-        # assemble_results folds terminals into QueryResults; a plan whose
-        # top-k pruning skipped solves must fail loudly, not KeyError.
-        from repro.plan.execute import assemble_results
-
-        plan = build_plan(f"TOPK 1 {CROWD_Q}", crowd_db)
-        optimize_plan(plan, canonical=True)
-        execution = execute_plan(plan)
-        with pytest.raises(ValueError, match="assemble_answers"):
-            assemble_results(plan, execution)
 
 
 # ----------------------------------------------------------------------

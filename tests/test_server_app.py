@@ -15,7 +15,7 @@ import pytest
 from repro.api.evaluate import answer
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
-from repro.server.http import run_server
+from repro.server.http import MAX_BODY_BYTES, run_server
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -366,3 +366,56 @@ class TestHTTPEndToEnd:
             return status
 
         assert run(scenario()) == 400
+
+
+#: A header line just past the stream reader's 64 KiB line limit.
+_LONG_HEADER = b"X-Pad: " + b"a" * (65 * 1024) + b"\r\n"
+
+
+@pytest.mark.parametrize(
+    "raw, status",
+    [
+        (b"POST /answer HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        (b"POST /answer HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+        (b"POST /answer HTTP/1.1\r\n" + _LONG_HEADER + b"\r\n", 431),
+        (b"GET /" + b"a" * (65 * 1024) + b" HTTP/1.1\r\n\r\n", 431),
+        (
+            b"POST /answer HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY_BYTES + 1),
+            413,
+        ),
+        (b"NONSENSE\r\n\r\n", 400),
+    ],
+    ids=[
+        "negative-length", "non-numeric-length", "long-header",
+        "long-request-line", "oversized-body", "malformed-request-line",
+    ],
+)
+def test_malformed_http_gets_a_status_then_close(raw, status):
+    """Bad request bytes get their status and a closed connection."""
+    config = ServerConfig(dataset="polls", backend="serial", port=0)
+    app = ServerApp(config)
+
+    async def scenario():
+        bound = asyncio.get_running_loop().create_future()
+        server_task = asyncio.ensure_future(
+            run_server(config, ready=lambda s: bound.set_result(s.port),
+                       app=app)
+        )
+        port = await bound
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(raw)
+        await writer.drain()
+        response = await asyncio.wait_for(reader.read(), timeout=10)
+        writer.close()
+        health = await http_call(port, "GET", "/healthz")
+        await http_call(port, "POST", "/shutdown")
+        await asyncio.wait_for(server_task, timeout=30)
+        return response, health
+
+    response, health = run(scenario())
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+    assert b"Connection: close" in head
+    assert json.loads(body)["status"] == status
+    assert health[0] == 200  # the server survived the bad connection

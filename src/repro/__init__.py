@@ -51,7 +51,7 @@ from repro.patterns import (
 )
 from repro.rankings import PartialOrder, Ranking, SubRanking, kendall_tau
 from repro.rim import AMPSampler, Mallows, MallowsMixture, RIM
-from repro.service import PersistentSolverCache, SolverCache
+from repro.service import SolverCache
 from repro.service.service import PreferenceService
 from repro.solvers import (
     SolverResult,
@@ -65,7 +65,7 @@ from repro.solvers import (
     upper_bound_probability,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Aggregate",
@@ -97,7 +97,6 @@ __all__ = [
     "union_satisfied_many",
     "SolverResult",
     "SolverCache",
-    "PersistentSolverCache",
     "PreferenceService",
     "solve",
     "exact_probability",

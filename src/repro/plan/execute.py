@@ -218,22 +218,18 @@ def _demand_solve(
             execution.resolved[node.node_id] = cached
             execution.cache_served.add(node.node_id)
             return cached[0]
-        # A shared-tier cache (repro.service.shard) supports fleet-wide
-        # single-flight: claim the key, or wait out another worker's
-        # in-flight solve instead of duplicating it.  Plain caches don't
-        # have the surface and solve immediately, as before.
-        claim = getattr(cache, "claim", None)
-        if claim is not None:
-            status, value = claim(node.cache_key)
-            if status == "value":
-                return _serve_from_tier(node, execution, value)
-            if status == "wait":
-                waited = cache.wait_flight(node.cache_key)
-                if waited is not None:
-                    return _serve_from_tier(node, execution, waited)
-                # The owner abandoned the flight; fall through and solve
-                # locally (no claim held — the publish below still lands).
-            owns_flight = status == "claimed"
+        # Single-flight: claim the key, or wait out another thread's or
+        # fleet member's in-flight solve instead of duplicating it.
+        status, value = cache.claim(node.cache_key)
+        if status == "value":
+            return _serve_from_tier(node, execution, value)
+        if status == "wait":
+            waited = cache.wait_flight(node.cache_key)
+            if waited is not None:
+                return _serve_from_tier(node, execution, waited)
+            # The owner abandoned the flight; fall through and solve
+            # locally (no claim held — the publish below still lands).
+        owns_flight = status == "claimed"
     solve_started = time.perf_counter()
     try:
         probability, solver_name = solve_session(
@@ -273,19 +269,18 @@ def _run_on_backend(
         n for n in pending if _node_method(plan, n) in APPROXIMATE_METHODS
     ]
 
-    # Fleet-wide single-flight (shared-tier caches only): claim every
-    # cacheable exact node up front.  Keys another fleet member is already
-    # solving drop out of this worker's task list; after our own tasks
-    # land we collect their published answers instead of recomputing.
-    claim = getattr(cache, "claim", None) if cache is not None else None
+    # Single-flight: claim every cacheable exact node up front.  Keys
+    # another thread or fleet member is already solving drop out of this
+    # task list; after our own tasks land we collect their published
+    # answers instead of recomputing.
     waiting: list[SolveNode] = []
-    if claim is not None:
+    if cache is not None:
         owned: list[SolveNode] = []
         for node in exact:
             if not node.cacheable:
                 owned.append(node)
                 continue
-            status, value = claim(node.cache_key)
+            status, value = cache.claim(node.cache_key)
             if status == "value":
                 _serve_from_tier(node, execution, value)
             elif status == "wait":
@@ -312,8 +307,8 @@ def _run_on_backend(
     try:
         outcomes = backend.run(tasks)
     except BaseException:
-        if claim is not None:
-            # Don't strand fleet waiters on claims we will never publish.
+        if cache is not None:
+            # Don't strand waiters on claims we will never publish.
             for node in exact:
                 if node.cacheable:
                     cache.release_flight(node.cache_key)
@@ -326,13 +321,14 @@ def _run_on_backend(
         if cache is not None and node.cacheable:
             fresh_pairs.append((node.cache_key, outcome.value))
     if cache is not None and fresh_pairs:
-        # One call so a persistent tier can flush the batch in a single
-        # transaction instead of one commit per solve (and a shared tier
-        # publishes the claimed flights, waking fleet waiters).
+        # One call so a tier can flush the batch in a single transaction
+        # per shard instead of one commit per solve; it also publishes the
+        # claimed flights, waking their waiters.
         cache.put_many(fresh_pairs)
 
-    # Collect answers another fleet member was solving when we claimed.
-    # An abandoned flight (its owner died) degrades to a local solve.
+    # Collect answers another thread or fleet member was solving when we
+    # claimed.  An abandoned flight (its owner died) degrades to a local
+    # solve.
     for node in waiting:
         waited = cache.wait_flight(node.cache_key)
         if waited is not None:

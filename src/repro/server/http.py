@@ -36,6 +36,9 @@ _REASONS = {
 #: Refuse request bodies beyond this size (a batch of ~10k requests).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Refuse requests with more header fields than this (431).
+MAX_HEADERS = 100
+
 
 class HTTPServer:
     """One listening socket serving a :class:`ServerApp`."""
@@ -149,6 +152,10 @@ class HTTPServer:
                 return method, path, headers, too_long, None
             if line in (b"\r\n", b"\n", b""):
                 break
+            if len(headers) == MAX_HEADERS:
+                return method, path, headers, {
+                    "error": f"more than {MAX_HEADERS} header fields",
+                    "status": 431}, None
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:

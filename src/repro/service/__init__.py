@@ -6,15 +6,18 @@ persistence, planning"):
 * :mod:`repro.service.keys` — canonical cache keys for (model, labeling,
   pattern-union) solve requests, built on the ``freeze()`` hooks of the
   model and pattern classes;
-* :mod:`repro.service.cache` — a thread-safe LRU :class:`SolverCache` with
-  hit/miss/eviction statistics, consumed by the solver dispatch and the
-  query engine (``cache=`` parameter);
-* :mod:`repro.service.persist` — the SQLite tier beneath the LRU
-  (:class:`PersistentSolverCache`), making warm state survive restarts;
+* :mod:`repro.service.cache` — the one front cache, a thread-safe LRU
+  :class:`SolverCache` with hit/miss/eviction statistics and
+  single-flight, optionally over one :class:`Tier`; consumed by the
+  solver dispatch and the query engine (``cache=`` parameter);
+* :mod:`repro.service.persist` — the durable key encoding and the SQLite
+  store (:class:`PersistentCache`) that shards write back to, making warm
+  state survive restarts;
 * :mod:`repro.service.shard` — the sharded *shared* tier
-  (:class:`ShardedSolverCache`, :class:`ShardCacheServer`): warm state
-  partitioned over canonical keys and served to a fleet of workers, with
-  fleet-wide single-flight so N cold workers solve a hot key once;
+  (:class:`ShardGroup` embedded, :class:`ShardClient` attached to a
+  :class:`ShardCacheServer`): warm state partitioned over canonical keys
+  and served to a fleet of workers, with fleet-wide single-flight so N
+  cold workers solve a hot key once;
 * :mod:`repro.service.executors` — pluggable ``serial`` / ``thread`` /
   ``process`` execution backends over picklable ``SolveTask`` descriptors
   built from the canonical ``freeze()`` forms;
@@ -30,7 +33,7 @@ of :mod:`repro.service.service` here would close an import cycle back into
 the engine.
 """
 
-from repro.service.cache import CacheStats, SolverCache
+from repro.service.cache import CacheStats, SolverCache, Tier
 from repro.service.executors import (
     BACKENDS,
     ExecutionBackend,
@@ -44,7 +47,7 @@ from repro.service.executors import (
     task_model_form,
 )
 from repro.service.keys import freeze_model, session_cache_key, solve_cache_key
-from repro.service.persist import PersistentCache, PersistentSolverCache
+from repro.service.persist import PersistentCache
 from repro.service.shard import (
     ShardCacheServer,
     ShardClient,
@@ -58,7 +61,6 @@ __all__ = [
     "CacheStats",
     "ExecutionBackend",
     "PersistentCache",
-    "PersistentSolverCache",
     "ProcessBackend",
     "SerialBackend",
     "ShardCacheServer",
@@ -69,6 +71,7 @@ __all__ = [
     "SolverCache",
     "TaskOutcome",
     "ThreadBackend",
+    "Tier",
     "shard_of",
     "freeze_model",
     "resolve_backend",

@@ -1,23 +1,18 @@
-"""A SQLite-backed persistent tier beneath the in-memory solver cache.
+"""The durable key encoding and the SQLite store beneath the shard tier.
 
 The in-memory :class:`~repro.service.cache.SolverCache` makes repeated
 consensus-answer-style workloads cheap *within* a process, but evaporates
-on restart.  This module adds the durable tier:
+on restart.  This module holds what makes warm state durable:
 
+* :func:`encode_key` — canonical request keys of :mod:`repro.service.keys`
+  as stable TEXT, the currency of every tier beneath the LRU;
 * :class:`PersistentCache` — a small write-through key/value store over one
-  SQLite file.  Keys are the canonical request keys of
-  :mod:`repro.service.keys`, encoded by ``repr`` (the same determinism the
-  canonical forms already rely on for sorting); values are the engine's
-  ``(probability, solver_name)`` session outcomes.  Entries are *versioned*:
-  the file records the cache-format version plus ``repro.__version__``, and
-  a mismatch clears the store — stale keys from an older freeze()/solver
-  generation can cost a rebuild, never a wrong answer.
-* :class:`PersistentSolverCache` — a drop-in :class:`SolverCache` whose
-  misses fall through to the SQLite tier (promoting hits back into memory)
-  and whose puts write through.  Handing one to the query engine or a
-  :class:`~repro.service.service.PreferenceService` (``cache_db=``) makes
-  warm state survive restarts: a new process serving a previously-seen
-  batch performs zero solves.
+  SQLite file, holding the engine's ``(probability, solver_name)`` session
+  outcomes.  Entries are *versioned*: the file records the cache-format
+  version plus ``repro.__version__``, and a mismatch clears the store —
+  stale keys from an older freeze()/solver generation can cost a rebuild,
+  never a wrong answer.  Each :class:`~repro.service.shard.ShardStore`
+  writes back through one.
 
 Only plain ``(float, str)`` session outcomes are persisted; richer cached
 values (e.g. dispatch-level ``SolverResult`` objects) stay memory-only
@@ -30,17 +25,13 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable
 
 import repro
-from repro.service.cache import SolverCache
 
 #: Bump when the canonical key or value format changes incompatibly;
 #: combined with ``repro.__version__`` into the stored version stamp.
 KEY_SCHEMA_VERSION = 1
-
-_MISSING = object()
-
 
 def default_version() -> str:
     """The version stamp new cache files record (and old ones must match)."""
@@ -98,11 +89,12 @@ def _persistable(value: Any) -> bool:
 
 
 class PersistentCache:
-    """A write-through (key -> (probability, solver)) store in one SQLite file.
+    """A write-through (encoded key -> (probability, solver)) store in one
+    SQLite file.
 
-    Thread-safe (one connection guarded by a lock; SQLite REAL columns are
-    IEEE doubles, so probabilities round-trip exactly).  ``get``/``put``
-    mirror the :class:`SolverCache` surface so tiering is mechanical.
+    Keys are :func:`encode_key` TEXT forms, the currency of the shard
+    tier.  Thread-safe (one connection guarded by a lock; SQLite REAL
+    columns are IEEE doubles, so probabilities round-trip exactly).
     """
 
     def __init__(self, path: "str | os.PathLike", version: str | None = None):
@@ -145,10 +137,6 @@ class PersistentCache:
     def path(self) -> str:
         return self._path
 
-    @property
-    def version(self) -> str:
-        return self._version
-
     def __len__(self) -> int:
         with self._lock:
             return int(
@@ -159,14 +147,9 @@ class PersistentCache:
         return f"PersistentCache(path={self._path!r}, size={len(self)})"
 
     def get(
-        self, key: Hashable, default: Any = None
-    ) -> "tuple[float, str] | Any":
-        return self.get_encoded(encode_key(key), default)
-
-    def get_encoded(
         self, encoded_key: str, default: Any = None
     ) -> "tuple[float, str] | Any":
-        """Lookup by a pre-encoded TEXT key (the shard tier's currency)."""
+        """The outcome stored under an :func:`encode_key` TEXT key."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT probability, solver FROM entries WHERE key = ?",
@@ -178,34 +161,22 @@ class PersistentCache:
             self._hits += 1
             return (float(row[0]), row[1])
 
-    def put(self, key: Hashable, value: tuple) -> None:
-        self.put_many([(key, value)])
-
-    def put_many(self, items) -> None:
-        """Store many outcomes in ONE transaction.
+    def put_many(self, pairs: "Iterable[tuple[str, Any]]") -> None:
+        """Store many ``(encoded_key, outcome)`` pairs in ONE transaction.
 
         A cold batch writes every fresh solve through; committing per entry
         would pay one fsync each, so the serving layer flushes a batch's
-        outcomes together.
+        outcomes together.  Every value is checked before any row is
+        staged, so a bad batch writes nothing.
         """
         rows = []
-        for key, value in items:
+        for encoded_key, value in pairs:
             if not _persistable(value):
                 raise TypeError(
                     "persistent cache stores (probability, solver) pairs, "
                     f"got {value!r}"
                 )
-            rows.append((encode_key(key), value))
-        self.put_many_encoded(rows)
-
-    def put_many_encoded(
-        self, items: "list[tuple[str, tuple[float, str]]]"
-    ) -> None:
-        """``put_many`` over pre-encoded TEXT keys, still one transaction."""
-        rows = [
-            (encoded_key, float(value[0]), value[1])
-            for encoded_key, value in items
-        ]
+            rows.append((encoded_key, float(value[0]), value[1]))
         if not rows:
             return
         with self._lock:
@@ -221,12 +192,9 @@ class PersistentCache:
             self._conn.execute("DELETE FROM entries")
             self._conn.commit()
 
-    def invalidate(self, keys) -> int:
-        """Drop exactly ``keys`` from the file; returns how many existed."""
-        return self.invalidate_encoded([encode_key(key) for key in keys])
-
-    def invalidate_encoded(self, encoded_keys: "list[str]") -> int:
-        """:meth:`invalidate` over pre-encoded TEXT keys, one transaction."""
+    def invalidate(self, encoded_keys: "list[str]") -> int:
+        """Drop exactly ``encoded_keys`` in one transaction; returns how
+        many existed."""
         if not encoded_keys:
             return 0
         with self._lock:
@@ -258,103 +226,3 @@ class PersistentCache:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class PersistentSolverCache(SolverCache):
-    """An LRU :class:`SolverCache` with a SQLite tier beneath it.
-
-    * ``get`` — memory first; a miss falls through to the SQLite tier and a
-      disk hit is promoted back into the LRU (so hot restarted state pays
-      the disk read once);
-    * ``put`` — write-through: the LRU and the file are updated together.
-      Values the durable format cannot hold (anything but a
-      ``(probability, solver)`` pair) stay memory-only.
-
-    The inherited :meth:`stats` counters keep their in-memory semantics (a
-    disk-served ``get`` still counts as a memory miss); the disk tier's own
-    counters are reported by :meth:`tier_stats`.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        db_path: "str | os.PathLike" = "solver_cache.sqlite",
-        version: str | None = None,
-    ):
-        super().__init__(capacity)
-        self._persistent = PersistentCache(db_path, version=version)
-
-    @property
-    def persistent(self) -> PersistentCache:
-        return self._persistent
-
-    @property
-    def db_path(self) -> str:
-        return self._persistent.path
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        value = super().get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        value = self._persistent.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        super().put(key, value)  # promote into the LRU
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        super().put(key, value)
-        if _persistable(value):
-            self._persistent.put(key, value)
-
-    def put_many(self, items) -> None:
-        """Write-through a whole batch with one disk transaction.
-
-        The in-memory half goes through the base class (one lock
-        acquisition for the whole batch); the durable half is one SQLite
-        transaction.
-        """
-        items = list(items)
-        SolverCache.put_many(self, items)
-        self._persistent.put_many(
-            [(key, value) for key, value in items if _persistable(value)]
-        )
-
-    def clear(self) -> None:
-        """Drop both tiers (counters are kept, as in the base class)."""
-        super().clear()
-        self._persistent.clear()
-
-    def invalidate(self, keys) -> int:
-        """Drop ``keys`` from BOTH tiers (write-through invalidation).
-
-        Returns the in-memory drop count (the tier the solver reads
-        first); the disk tier's own count shows up in
-        :meth:`tier_stats` as ``disk_invalidations``.
-        """
-        keys = list(keys)
-        dropped = super().invalidate(keys)
-        self._persistent.invalidate(keys)
-        return dropped
-
-    def tier_stats(self) -> dict[str, float]:
-        """Disk-tier counters, merged into ``PreferenceService.stats()``."""
-        return self._persistent.stats()
-
-    def tier_depth(self) -> dict:
-        """Structured per-tier depth for the server's ``/stats`` payload.
-
-        Unlike :meth:`tier_stats` (flat scalars merged into the service
-        counters), this nests one entry per tier beneath the LRU, so the
-        wire can show the whole cache hierarchy.
-        """
-        return {"disk": self._persistent.stats()}
-
-    def close(self) -> None:
-        self._persistent.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"PersistentSolverCache(size={len(self)}, "
-            f"capacity={self.capacity}, db={self.db_path!r})"
-        )

@@ -27,8 +27,8 @@ the frontier largest-first, and a pluggable execution backend
 (:mod:`repro.service.executors`) runs it — ``serial``, ``thread``, or
 ``process``, the last shipping picklable ``SolveTask`` descriptors to a
 ``ProcessPoolExecutor`` so the pure-Python exact DP solvers actually scale
-across cores.  With ``cache_db=`` the
-in-memory cache gains a SQLite tier (:mod:`repro.service.persist`), so warm
+across cores.  With ``cache_db=`` the in-memory cache gains a one-shard
+tier with a SQLite write-back file (:mod:`repro.service.shard`), so warm
 state survives restarts.  Sampling-method requests run through the batched
 kernels of :mod:`repro.kernels` (DESIGN.md Section 7) by default.  See
 DESIGN.md, "The service layer" and "Executors, persistence, planning".
@@ -48,7 +48,6 @@ from repro.db.database import PPDatabase
 from repro.query.ast import ConjunctiveQuery
 from repro.service.cache import SolverCache
 from repro.service.executors import ExecutionBackend
-from repro.service.persist import PersistentSolverCache
 from repro.service.shard import ShardedSolverCache
 
 
@@ -72,18 +71,18 @@ class PreferenceService:
         process backend is the one that scales the CPU-bound exact DP
         solves across cores.
     cache_db:
-        Path of a SQLite file adding a persistent tier beneath the
-        in-memory cache (:class:`~repro.service.persist
-        .PersistentSolverCache`): solves are written through and survive
-        process restarts.  Mutually exclusive with an explicit ``cache``.
-        With ``cache_shards`` it becomes the *stem* of the per-shard
+        Path of a SQLite file beneath the in-memory cache: the cache
+        becomes a front LRU over a one-shard
+        :class:`~repro.service.shard.ShardGroup` writing back to this
+        file, so solves are written through and survive process
+        restarts.  Mutually exclusive with an explicit ``cache``.  With
+        ``cache_shards`` above 1 it becomes the *stem* of the per-shard
         write-back files instead.
     cache_shards:
-        Shard the warm tier: the cache becomes a
-        :class:`~repro.service.shard.ShardedSolverCache` with this many
-        shards beneath the process-local LRU, partitioned over the
-        canonical keys, with fleet-wide single-flight.  Combine with
-        ``cache_db`` for per-shard SQLite write-back files.
+        Shard the warm tier: the front LRU sits over a
+        :class:`~repro.service.shard.ShardGroup` with this many shards,
+        partitioned over the canonical keys.  Combine with ``cache_db``
+        for per-shard SQLite write-back files.
     shard_address:
         ``host:port`` of a running
         :class:`~repro.service.shard.ShardCacheServer`: this service
@@ -119,8 +118,9 @@ class PreferenceService:
         shard_address: "str | None" = None,
         **solver_options,
     ):
-        sharded = cache_shards is not None or shard_address is not None
-        if cache is not None and (cache_db is not None or sharded):
+        tiered = not (cache_db is None and cache_shards is None
+                      and shard_address is None)
+        if cache is not None and tiered:
             raise ValueError(
                 "pass either an explicit cache or cache tier knobs "
                 "(cache_db/cache_shards/shard_address), not both"
@@ -134,16 +134,13 @@ class PreferenceService:
             )
         if cache is not None:
             self.cache = cache
-        elif shard_address is not None:
+        elif tiered:
             self.cache = ShardedSolverCache(
-                cache_capacity, address=shard_address
+                cache_capacity,
+                n_shards=1 if cache_shards is None else cache_shards,
+                cache_db=cache_db,
+                address=shard_address,
             )
-        elif cache_shards is not None:
-            self.cache = ShardedSolverCache(
-                cache_capacity, n_shards=cache_shards, cache_db=cache_db
-            )
-        elif cache_db is not None:
-            self.cache = PersistentSolverCache(cache_capacity, cache_db)
         else:
             self.cache = SolverCache(cache_capacity)
         self.method = method
@@ -154,24 +151,22 @@ class PreferenceService:
     def stats(self) -> dict[str, float]:
         """Current cache counters (hits, misses, evictions, hit_rate, ...).
 
-        With a persistent tier (``cache_db=``) the disk counters
-        (``disk_hits``, ``disk_misses``, ``disk_size``) are merged in.
+        With a tier beneath the LRU its flat totals are merged in:
+        ``n_shards`` and ``shard_*``, plus ``disk_hits`` / ``disk_misses``
+        / ``disk_size`` / ``disk_invalidations`` with write-back files.
         """
         stats = self.cache.stats().as_dict()
-        tier_stats = getattr(self.cache, "tier_stats", None)
-        if tier_stats is not None:
-            stats.update(tier_stats())
+        stats.update(self.cache.tier_stats())
         return stats
 
     def tier_depth(self) -> dict:
         """Structured per-tier depth beneath the LRU (``{}`` when untiered).
 
-        ``{"disk": {...}}`` for a persistent cache; the per-shard payload
-        (``n_shards`` / ``shards`` / ``totals``) for a sharded one.  The
-        server's ``/stats`` endpoint nests this beside the flat counters.
+        The per-shard payload (``n_shards`` / ``version`` / ``shards`` /
+        ``totals``) of the tier.  The server's ``/stats`` endpoint nests
+        this beside the flat counters.
         """
-        tier_depth = getattr(self.cache, "tier_depth", None)
-        return tier_depth() if tier_depth is not None else {}
+        return self.cache.tier_depth()
 
     # ------------------------------------------------------------------
     # Single-request path

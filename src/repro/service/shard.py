@@ -1,38 +1,32 @@
 """A sharded shared-cache tier: warm solve state for a fleet of workers.
 
-The LRU :class:`~repro.service.cache.SolverCache` is per-process and the
-SQLite tier of :mod:`repro.service.persist` is one file consulted only on
-miss-after-miss; a fleet of worker processes therefore starts cold N times
-and duplicates hot solves N times.  This module turns the warm state into
-a *shared* tier partitioned over the canonical ``freeze()`` keys:
+The front :class:`~repro.service.cache.SolverCache` is per-process, so a
+fleet of worker processes with nothing beneath it starts cold N times and
+duplicates hot solves N times.  This module provides the
+:class:`~repro.service.cache.Tier` beneath the front LRU, partitioned
+over the canonical ``freeze()`` keys:
 
-* :func:`shard_of` — a stable hash of the existing
+* :func:`shard_of` — a stable hash of the
   :func:`~repro.service.persist.encode_key` TEXT form picks one of N
   shards, so every process (and every restart) routes a canonical key to
   the same shard;
-* :class:`ShardStore` / :class:`ShardGroup` — one bounded, thread-safe
-  store per shard with per-shard hit/occupancy counters, per-key
-  *in-flight* tracking (single-flight: a fleet of cache-cold workers
-  hitting one hot key performs one solve, not N), and write-back through
-  a per-shard :class:`~repro.service.persist.PersistentCache` SQLite file
-  (one transaction per flush; the existing version-stamp clearing
-  semantics carry over, so a format bump clears shards and can never
-  serve a stale answer);
-* :class:`ShardCacheServer` / :class:`ShardClient` — a small cache-server
-  protocol over a localhost socket for multi-process fleets, framed
-  exactly like the process backend ships its work: length-prefixed pickle
-  of small builtin forms (encoded TEXT keys and the ``(probability,
-  solver)`` pairs of :attr:`~repro.service.executors.TaskOutcome.value`).
-  The client is picklable and re-connects lazily after a ``fork``, so it
-  crosses process boundaries the way :class:`~repro.service.executors
-  .SolveTask` does;
-* :class:`ShardedSolverCache` — the drop-in :class:`SolverCache` subclass
-  (like :class:`~repro.service.persist.PersistentSolverCache`) that the
-  :class:`~repro.service.service.PreferenceService`, the plan executor,
-  and the CLI inherit via ``cache_shards=`` / ``--cache-shards``: a
-  process-local LRU in front, the shard tier beneath it — embedded
-  in-process, or attached to a running :class:`ShardCacheServer` via
-  ``shard_address=``.
+* :class:`ShardStore` / :class:`ShardGroup` — the embedded tier: one
+  :class:`~repro.service.cache.SolverCache` LRU and flight table per shard
+  (single-flight: a fleet of cache-cold workers hitting one hot key
+  performs one solve, not N), with write-back through a per-shard
+  :class:`~repro.service.persist.PersistentCache` SQLite file (one
+  transaction per flush; a format bump clears the files, so a stale
+  answer is never served);
+* :class:`ShardCacheServer` / :class:`ShardClient` — the attached tier: a
+  small cache-server protocol over a localhost socket for multi-process
+  fleets, framed exactly like the process backend ships its work:
+  length-prefixed pickle of small builtin forms (encoded TEXT keys and the
+  ``(probability, solver)`` pairs of
+  :attr:`~repro.service.executors.TaskOutcome.value`).  The client is
+  picklable and re-connects lazily after a ``fork``, so it crosses process
+  boundaries the way :class:`~repro.service.executors.SolveTask` does;
+* :class:`ShardedSolverCache` — a front :class:`SolverCache` over either
+  tier, built by ``cache_shards=`` / ``shard_address=`` / ``cache_db=``.
 
 The protocol is trusted-transport only (pickle over a loopback socket,
 exactly like the ``ProcessPoolExecutor`` pipe the process backend already
@@ -47,20 +41,14 @@ import pickle
 import socket
 import struct
 import threading
-from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterable, Union
 
-from repro.service.cache import SolverCache
+from repro.service.cache import SolverCache, Tier, Value, _MISSING
 from repro.service.persist import (
     PersistentCache,
     _persistable,
     default_version,
-    encode_key,
 )
-
-#: The ``(probability, solver)`` pair every shared tier stores — the same
-#: value form :attr:`repro.service.executors.TaskOutcome.value` ships.
-Value = tuple[float, str]
 
 #: Default shard count of an embedded tier (a few shards decorrelate lock
 #: and transaction contention without fragmenting the LRU budget).
@@ -69,8 +57,6 @@ DEFAULT_SHARDS = 4
 #: Upper bound a server puts on one blocking ``wait`` call, so abandoned
 #: flights cannot pin handler threads forever.
 MAX_WAIT_SECONDS = 300.0
-
-_MISSING: Any = object()
 
 
 def shard_of(encoded_key: str, n_shards: int) -> int:
@@ -104,197 +90,67 @@ def shard_db_path(path: Union[str, "os.PathLike[str]"], index: int) -> str:
 # ----------------------------------------------------------------------
 
 
-class ShardStore:
-    """One shard: a bounded LRU of encoded keys with in-flight tracking.
+class ShardStore(SolverCache):
+    """One shard with a write-back file: the :class:`SolverCache` LRU and
+    flight table over encoded TEXT keys, above a SQLite file.
 
-    Values are the persistable ``(probability, solver)`` pairs.  With a
-    ``persistent`` tier attached, misses fall through to its SQLite file
-    (promoting hits back into memory) and every :meth:`put_many` flush
-    writes back in one transaction.
+    Misses fall through to the ``persistent`` file (promoting hits back
+    into memory), every :meth:`put_many` flush writes back in one
+    transaction, and ``invalidate`` / ``clear`` reach the file.  A shard
+    without a file is a plain :class:`SolverCache`.
     """
 
-    def __init__(
-        self, capacity: int, persistent: PersistentCache | None = None
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        self._persistent = persistent
-        self._lock = threading.RLock()
-        self._data: OrderedDict[str, Value] = OrderedDict()
-        self._flights: dict[str, threading.Event] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
+    def __init__(self, capacity: int, persistent: PersistentCache) -> None:
+        super().__init__(capacity)
+        self.persistent = persistent
 
-    @property
-    def persistent(self) -> PersistentCache | None:
-        return self._persistent
+    def _fetch(self, key: Hashable) -> Any:
+        return self.persistent.get(str(key), _MISSING)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+    def _write(self, items: list[tuple[Hashable, Any]]) -> None:
+        self.persistent.put_many((str(key), value) for key, value in items)
 
-    def get(self, encoded_key: str) -> Value | None:
-        with self._lock:
-            value = self._data.get(encoded_key)
-            if value is not None:
-                self._data.move_to_end(encoded_key)
-                self._hits += 1
-                return value
-            self._misses += 1
-        if self._persistent is None:
-            return None
-        found = self._persistent.get_encoded(encoded_key, _MISSING)
-        if found is _MISSING:
-            return None
-        disk_value: Value = (float(found[0]), found[1])
-        self._store(encoded_key, disk_value)
-        return disk_value
+    def _drop(self, keys: list[Hashable]) -> None:
+        self.persistent.invalidate([str(key) for key in keys])
 
-    def _store(self, encoded_key: str, value: Value) -> None:
-        """Insert/refresh one entry (takes the reentrant lock itself)."""
-        with self._lock:
-            if encoded_key in self._data:
-                self._data.move_to_end(encoded_key)
-            self._data[encoded_key] = value
-            while len(self._data) > self._capacity:
-                self._data.popitem(last=False)
-                self._evictions += 1
+    def _wipe(self) -> None:
+        self.persistent.clear()
 
-    def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
-        """Publish a batch: memory, then ONE disk transaction, then wake
-        every waiter whose key the batch resolved."""
-        pairs = list(pairs)
-        with self._lock:
-            for encoded_key, value in pairs:
-                self._store(encoded_key, value)
-            flights = [
-                flight
-                for encoded_key, _ in pairs
-                if (flight := self._flights.pop(encoded_key, None)) is not None
-            ]
-        if self._persistent is not None:
-            self._persistent.put_many_encoded(pairs)
-        for flight in flights:
-            flight.set()
-
-    def claim(self, encoded_key: str) -> tuple[str, Value | None]:
-        """Atomically: the value, or ownership of computing it.
-
-        Returns ``("value", v)`` when the shard (memory or disk) already
-        holds the key, ``("claimed", None)`` when the caller now owns the
-        in-flight computation, and ``("wait", None)`` when another worker
-        owns it — the caller should :meth:`wait`.
-        """
-        with self._lock:
-            value = self._data.get(encoded_key)
-            if value is not None:
-                self._data.move_to_end(encoded_key)
-                self._hits += 1
-                return ("value", value)
-            if encoded_key in self._flights:
-                return ("wait", None)
-            if self._persistent is not None:
-                # Read the disk tier under the shard lock so a concurrent
-                # publisher cannot interleave between miss and claim.
-                found = self._persistent.get_encoded(encoded_key, _MISSING)
-                if found is not _MISSING:
-                    disk_value: Value = (float(found[0]), found[1])
-                    self._store(encoded_key, disk_value)
-                    return ("value", disk_value)
-            self._misses += 1
-            self._flights[encoded_key] = threading.Event()
-            return ("claimed", None)
-
-    def wait(self, encoded_key: str, timeout: float) -> Value | None:
-        """Block until the key's flight publishes (or ``timeout`` passes).
-
-        ``None`` means the value never arrived — the owner abandoned the
-        flight or timed out — and the caller should compute locally.
-        """
-        with self._lock:
-            value = self._data.get(encoded_key)
-            if value is not None:
-                self._data.move_to_end(encoded_key)
-                self._hits += 1
-                return value
-            flight = self._flights.get(encoded_key)
-        if flight is not None and not flight.wait(
-            min(max(timeout, 0.0), MAX_WAIT_SECONDS)
-        ):
-            return None
-        return self.get(encoded_key)
-
-    def release(self, encoded_key: str) -> None:
-        """Resolve the key's flight (publish or abandon), waking waiters."""
-        with self._lock:
-            flight = self._flights.pop(encoded_key, None)
-        if flight is not None:
-            flight.set()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            flights = list(self._flights.values())
-            self._flights.clear()
-        for flight in flights:
-            flight.set()
-        if self._persistent is not None:
-            self._persistent.clear()
-
-    def invalidate(self, encoded_keys: Iterable[str]) -> int:
-        """Drop exactly ``encoded_keys`` (memory AND write-back file).
-
-        The targeted sibling of :meth:`clear`: the streaming layer
-        retires keys of expired/updated sessions without disturbing the
-        rest of the shard.  In-flight computations of a dropped key are
-        left alone — their eventual publish re-inserts a value that is
-        correct for *its* key (content-addressed keys cannot go stale).
-        Returns the in-memory drop count.
-        """
-        encoded_keys = list(encoded_keys)
-        with self._lock:
-            dropped = 0
-            for encoded_key in encoded_keys:
-                if self._data.pop(encoded_key, None) is not None:
-                    dropped += 1
-            self._invalidations += dropped
-        if self._persistent is not None:
-            self._persistent.invalidate_encoded(encoded_keys)
-        return dropped
-
-    def stats(self) -> dict[str, float]:
-        with self._lock:
-            counters: dict[str, float] = {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "invalidations": self._invalidations,
-                "size": len(self._data),
-                "capacity": self._capacity,
-                "in_flight": len(self._flights),
-            }
-        if self._persistent is not None:
-            counters.update(self._persistent.stats())
-        return counters
+    def tier_stats(self) -> dict[str, float]:
+        """The write-back file's ``disk_*`` counters."""
+        return self.persistent.stats()
 
     def close(self) -> None:
-        if self._persistent is not None:
-            self._persistent.close()
+        self.persistent.close()
+
+
+def _shard_row(store: SolverCache) -> dict[str, float]:
+    """One shard's row of the ``/stats`` payload."""
+    stats = store.stats()
+    return {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "evictions": stats.evictions,
+        "invalidations": stats.invalidations,
+        "size": stats.size,
+        "capacity": stats.capacity,
+        "in_flight": stats.in_flight,
+        **store.tier_stats(),
+    }
 
 
 class ShardGroup:
-    """N :class:`ShardStore` shards routed by :func:`shard_of`.
+    """N shards routed by :func:`shard_of`.
 
-    The embedded (in-process) form of the shared tier: a
-    :class:`ShardedSolverCache` without a ``shard_address`` owns one, and
-    a :class:`ShardCacheServer` serves one to a fleet.  ``capacity`` is
-    the total entry budget, split evenly across shards; ``cache_db`` is
-    the write-back stem — each shard gets its own SQLite file
-    (:func:`shard_db_path`) whose version stamp clears it on a format
-    bump, exactly like the unsharded persistent tier.
+    The embedded (in-process) :class:`~repro.service.cache.Tier`: a
+    :class:`ShardedSolverCache` without a ``shard_address`` owns one, a
+    ``cache_db=`` service owns a one-shard group, and a
+    :class:`ShardCacheServer` serves one to a fleet.  ``capacity`` is the
+    total entry budget, split evenly across shards.  Without ``cache_db``
+    each shard is a plain :class:`~repro.service.cache.SolverCache`; with
+    it, a :class:`ShardStore` over its own SQLite file
+    (:func:`shard_db_path`; a single shard uses ``cache_db`` itself) whose
+    version stamp clears it on a format bump.
     """
 
     def __init__(
@@ -311,14 +167,15 @@ class ShardGroup:
         self._stores = [
             ShardStore(
                 per_shard,
-                persistent=(
-                    PersistentCache(
-                        shard_db_path(cache_db, index), version=self._version
-                    )
-                    if cache_db is not None
-                    else None
+                PersistentCache(
+                    # One shard writes to the cache_db path itself.
+                    cache_db if n_shards == 1
+                    else shard_db_path(cache_db, index),
+                    version=self._version,
                 ),
             )
+            if cache_db is not None
+            else SolverCache(per_shard)
             for index in range(n_shards)
         ]
 
@@ -330,36 +187,41 @@ class ShardGroup:
     def version(self) -> str:
         return self._version
 
-    @property
-    def stores(self) -> list[ShardStore]:
-        return list(self._stores)
-
     def __len__(self) -> int:
         return sum(len(store) for store in self._stores)
 
-    def _store(self, encoded_key: str) -> ShardStore:
+    def _store(self, encoded_key: str) -> SolverCache:
         return self._stores[shard_of(encoded_key, len(self._stores))]
 
     def get(self, encoded_key: str) -> Value | None:
-        return self._store(encoded_key).get(encoded_key)
+        found: Value | None = self._store(encoded_key).get(encoded_key)
+        return found
+
+    def _by_shard(
+        self, items: Iterable[Any], key: Callable[[Any], str]
+    ) -> dict[int, list[Any]]:
+        by_shard: dict[int, list[Any]] = {}
+        for item in items:
+            index = shard_of(key(item), len(self._stores))
+            by_shard.setdefault(index, []).append(item)
+        return by_shard
 
     def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
         """Group a flush by shard; each shard flushes in one transaction."""
-        by_shard: dict[int, list[tuple[str, Value]]] = {}
-        for encoded_key, value in pairs:
-            index = shard_of(encoded_key, len(self._stores))
-            by_shard.setdefault(index, []).append((encoded_key, value))
-        for index, batch in by_shard.items():
+        for index, batch in self._by_shard(pairs, lambda p: p[0]).items():
             self._stores[index].put_many(batch)
 
     def claim(self, encoded_key: str) -> tuple[str, Value | None]:
         return self._store(encoded_key).claim(encoded_key)
 
     def wait(self, encoded_key: str, timeout: float) -> Value | None:
-        return self._store(encoded_key).wait(encoded_key, timeout)
+        found: Value | None = self._store(encoded_key).wait_flight(
+            encoded_key, timeout
+        )
+        return found
 
     def release(self, encoded_key: str) -> None:
-        self._store(encoded_key).release(encoded_key)
+        self._store(encoded_key).release_flight(encoded_key)
 
     def clear(self) -> None:
         for store in self._stores:
@@ -367,18 +229,14 @@ class ShardGroup:
 
     def invalidate(self, encoded_keys: Iterable[str]) -> int:
         """Route a targeted drop by shard; returns the total drop count."""
-        by_shard: dict[int, list[str]] = {}
-        for encoded_key in encoded_keys:
-            index = shard_of(encoded_key, len(self._stores))
-            by_shard.setdefault(index, []).append(encoded_key)
         return sum(
             self._stores[index].invalidate(batch)
-            for index, batch in by_shard.items()
+            for index, batch in self._by_shard(encoded_keys, str).items()
         )
 
     def stats(self) -> dict[str, Any]:
         """Per-shard counters plus their totals (the ``/stats`` payload)."""
-        shards = [store.stats() for store in self._stores]
+        shards = [_shard_row(store) for store in self._stores]
         totals: dict[str, float] = {}
         for counters in shards:
             for name, value in counters.items():
@@ -393,6 +251,9 @@ class ShardGroup:
     def close(self) -> None:
         for store in self._stores:
             store.close()
+
+    def __repr__(self) -> str:
+        return f"ShardGroup(n_shards={len(self._stores)})"
 
     def __enter__(self) -> "ShardGroup":
         return self
@@ -452,6 +313,11 @@ def _check_pairs(pairs: object) -> list[tuple[str, Value]]:
             )
         checked.append((pair[0], (float(pair[1][0]), pair[1][1])))
     return checked
+
+
+def _pair(found: Any) -> Value | None:
+    """A wire-received value as a ``(probability, solver)`` pair."""
+    return None if found is None else (float(found[0]), found[1])
 
 
 class ShardCacheServer:
@@ -528,21 +394,31 @@ class ShardCacheServer:
             handler.start()
 
     def _serve_connection(self, connection: socket.socket) -> None:
+        # Keys this connection claimed and has not published or released:
+        # a peer that disconnects mid-solve must not leave every later
+        # claimer waiting out its flight.
+        claimed: set[str] = set()
         with connection:
             try:
-                self._serve_frames(connection)
+                self._serve_frames(connection, claimed)
             finally:
                 with self._lock:
                     self._connections.discard(connection)
+                for encoded_key in claimed:
+                    self.group.release(encoded_key)
 
-    def _serve_frames(self, connection: socket.socket) -> None:
+    def _serve_frames(
+        self, connection: socket.socket, claimed: set[str]
+    ) -> None:
         while not self._closed.is_set():
             try:
                 request = _recv_frame(connection)
             except Exception:
                 return  # disconnect or garbage frame: drop the peer
             try:
-                response: tuple[str, Any] = ("ok", self._handle(request))
+                response: tuple[str, Any] = (
+                    "ok", self._handle(request, claimed)
+                )
             except ShardProtocolError as error:
                 response = ("err", str(error))
             except Exception as error:  # never kill the handler thread
@@ -552,7 +428,7 @@ class ShardCacheServer:
             except OSError:
                 return
 
-    def _handle(self, request: object) -> Any:
+    def _handle(self, request: object, claimed: set[str]) -> Any:
         if not (isinstance(request, tuple) and request):
             raise ShardProtocolError(f"malformed request {request!r}")
         op = request[0]
@@ -574,17 +450,25 @@ class ShardCacheServer:
             return self.group.get(encoded_key)
         if op == "put_many":
             (pairs,) = arguments
-            self.group.put_many(_check_pairs(pairs))
+            checked = _check_pairs(pairs)
+            self.group.put_many(checked)
+            claimed.difference_update(key for key, _ in checked)
             return len(pairs)
         if op == "claim":
             (encoded_key,) = arguments
-            return self.group.claim(encoded_key)
+            status, value = self.group.claim(encoded_key)
+            if status == "claimed":
+                claimed.add(encoded_key)
+            return (status, value)
         if op == "wait":
             encoded_key, timeout = arguments
-            return self.group.wait(encoded_key, float(timeout))
+            return self.group.wait(
+                encoded_key, min(max(float(timeout), 0.0), MAX_WAIT_SECONDS)
+            )
         if op == "release":
             (encoded_key,) = arguments
             self.group.release(encoded_key)
+            claimed.discard(encoded_key)
             return True
         if op == "invalidate":
             (encoded_keys,) = arguments
@@ -643,7 +527,8 @@ class ShardCacheServer:
 class ShardClient:
     """A picklable handle on a running :class:`ShardCacheServer`.
 
-    Mirrors the :class:`ShardGroup` surface over the socket protocol.
+    The attached :class:`~repro.service.cache.Tier`: the
+    :class:`ShardGroup` surface over the socket protocol.
     The connection is opened lazily and re-opened after a ``fork`` (the
     owning pid is tracked), so a client can ride into worker processes
     like a :class:`~repro.service.executors.SolveTask` does.  One
@@ -732,25 +617,21 @@ class ShardClient:
             self._pid = -1
 
     def get(self, encoded_key: str) -> Value | None:
-        found = self._call(("get", encoded_key))
-        return None if found is None else (float(found[0]), found[1])
+        return _pair(self._call(("get", encoded_key)))
 
     def put_many(self, pairs: Iterable[tuple[str, Value]]) -> None:
         self._call(("put_many", list(pairs)))
 
     def claim(self, encoded_key: str) -> tuple[str, Value | None]:
         status, value = self._call(("claim", encoded_key))
-        if value is not None:
-            value = (float(value[0]), value[1])
-        return (status, value)
+        return (status, _pair(value))
 
     def wait(self, encoded_key: str, timeout: float) -> Value | None:
         # The server blocks up to `timeout`; give the socket read slack
         # beyond it so a slow publish is not misread as a dead server.
-        found = self._call(
+        return _pair(self._call(
             ("wait", encoded_key, timeout), read_timeout=timeout + 10.0
-        )
-        return None if found is None else (float(found[0]), found[1])
+        ))
 
     def release(self, encoded_key: str) -> None:
         self._call(("release", encoded_key))
@@ -759,8 +640,7 @@ class ShardClient:
         return int(self._call(("invalidate", list(encoded_keys))))
 
     def stats(self) -> dict[str, Any]:
-        payload = self._call(("stats",))
-        return dict(payload)
+        return dict(self._call(("stats",)))
 
     def clear(self) -> None:
         self._call(("clear",))
@@ -772,37 +652,22 @@ class ShardClient:
         return f"ShardClient(address={self._address!r})"
 
 
-#: Either face of the shared tier — embedded or attached.
-ShardTier = Union[ShardGroup, ShardClient]
-
-
 # ----------------------------------------------------------------------
-# The drop-in cache
+# The sharded front cache
 # ----------------------------------------------------------------------
 
 
 class ShardedSolverCache(SolverCache):
-    """An LRU :class:`SolverCache` with a sharded shared tier beneath it.
+    """A :class:`SolverCache` over a sharded :class:`Tier`.
 
-    * ``get`` — process-local LRU first; a miss consults the shard tier
-      (promoting hits into the LRU), which itself falls through to its
-      per-shard SQLite write-back files;
-    * ``put`` / ``put_many`` — write-through: the LRU, the shard tier,
-      and the per-shard files update together (one transaction per shard
-      per flush).  Values the durable format cannot hold (anything but a
-      ``(probability, solver)`` pair) stay in the local LRU, like the
-      unsharded persistent tier;
-    * ``claim`` / ``wait_flight`` / ``release_flight`` — fleet-wide
-      single-flight: the plan executor claims a missing key before
-      solving, and concurrent workers claiming the same key wait for the
-      one in-flight solve instead of duplicating it.  An abandoned flight
-      (owner died, timeout) degrades to a local solve, never a wrong or
-      missing answer.
-
-    Embedded by default (``n_shards`` stores in this process, optional
-    ``cache_db`` write-back stem); pass ``address=`` to attach to a
-    running :class:`ShardCacheServer` instead — the server then owns the
-    shard topology and persistence.
+    Embedded by default: a :class:`ShardGroup` of ``n_shards`` stores in
+    this process (``shard_capacity`` entries in total, ``capacity`` when
+    unset), with per-shard SQLite write-back files under the optional
+    ``cache_db`` stem.  Pass ``address=`` to attach to a running
+    :class:`ShardCacheServer` instead — the server then owns the shard
+    topology and persistence.  Everything else — tier fall-through,
+    write-through, fleet-wide single-flight, invalidation — is the
+    :class:`SolverCache` behaviour over that tier.
     """
 
     def __init__(
@@ -815,13 +680,12 @@ class ShardedSolverCache(SolverCache):
         shard_capacity: int | None = None,
         flight_timeout: float = 60.0,
     ) -> None:
-        super().__init__(capacity)
         if address is not None and cache_db is not None:
             raise ValueError(
                 "an attached shard tier persists on the server side; pass "
                 "cache_db to the ShardCacheServer, not the client"
             )
-        self._tier: ShardTier = (
+        tier: Tier = (
             ShardClient(address)
             if address is not None
             else ShardGroup(
@@ -833,159 +697,4 @@ class ShardedSolverCache(SolverCache):
                 version=version,
             )
         )
-        self._flight_timeout = flight_timeout
-
-    @property
-    def tier(self) -> ShardTier:
-        return self._tier
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        value = super().get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        found = self._tier.get(encode_key(key))
-        if found is None:
-            return default
-        super().put(key, found)  # promote into the local LRU
-        return found
-
-    def put(self, key: Hashable, value: Any) -> None:
-        super().put(key, value)
-        if _persistable(value):
-            self._tier.put_many(
-                [(encode_key(key), (float(value[0]), value[1]))]
-            )
-
-    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
-        """One local lock acquisition, one tier flush (one transaction
-        per shard), one wake-up sweep for fleet waiters."""
-        items = list(items)
-        SolverCache.put_many(self, items)
-        pairs = [
-            (encode_key(key), (float(value[0]), value[1]))
-            for key, value in items
-            if _persistable(value)
-        ]
-        if pairs:
-            self._tier.put_many(pairs)
-
-    # -- fleet-wide single-flight ---------------------------------------
-
-    def claim(self, key: Hashable) -> tuple[str, Value | None]:
-        """Claim one canonical key against the shared tier.
-
-        ``("value", v)`` — served (and promoted locally); ``("claimed",
-        None)`` — this worker owns the solve and must publish via ``put``
-        / ``put_many`` or abandon via :meth:`release_flight`; ``("wait",
-        None)`` — another worker is solving it: :meth:`wait_flight`.
-        """
-        status, value = self._tier.claim(encode_key(key))
-        if value is not None:
-            super().put(key, value)
-        return (status, value)
-
-    def wait_flight(
-        self, key: Hashable, timeout: float | None = None
-    ) -> Value | None:
-        """Block on another worker's in-flight solve of ``key``.
-
-        ``None`` after the timeout (or an abandoned flight) means the
-        caller should solve locally.
-        """
-        value = self._tier.wait(
-            encode_key(key),
-            self._flight_timeout if timeout is None else timeout,
-        )
-        if value is not None:
-            super().put(key, value)
-        return value
-
-    def release_flight(self, key: Hashable) -> None:
-        """Abandon a claimed flight without publishing (solve failed, or
-        the value is not persistable); waiters fall back to local solves."""
-        self._tier.release(encode_key(key))
-
-    def get_or_compute(
-        self, key: Hashable, compute: Callable[[], Any]
-    ) -> Any:
-        """Single-flight across the whole fleet, not just this process."""
-        value = self.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        status, found = self.claim(key)
-        if status == "value":
-            return found
-        if status == "wait":
-            found = self.wait_flight(key)
-            if found is not None:
-                return found
-            # The owner vanished; fall through and solve locally (the
-            # claim may have expired without a value — do not re-claim,
-            # just publish when done).
-        try:
-            value = compute()
-        except BaseException:
-            self.release_flight(key)
-            raise
-        self.put(key, value)  # publishes the flight when persistable
-        if not _persistable(value):
-            self.release_flight(key)
-        return value
-
-    # -- stats / lifecycle ----------------------------------------------
-
-    def tier_stats(self) -> dict[str, float]:
-        """Flat shard-tier counters merged into ``PreferenceService.stats()``."""
-        depth = self._tier.stats()
-        totals = depth["totals"]
-        flat: dict[str, float] = {
-            "n_shards": depth["n_shards"],
-            "shard_hits": totals.get("hits", 0.0),
-            "shard_misses": totals.get("misses", 0.0),
-            "shard_evictions": totals.get("evictions", 0.0),
-            "shard_invalidations": totals.get("invalidations", 0.0),
-            "shard_size": totals.get("size", 0.0),
-        }
-        for name in (
-            "disk_hits", "disk_misses", "disk_size", "disk_invalidations"
-        ):
-            if name in totals:
-                flat[name] = totals[name]
-        return flat
-
-    def tier_depth(self) -> dict[str, Any]:
-        """The structured per-shard payload for the server's ``/stats``."""
-        return self._tier.stats()
-
-    def clear(self) -> None:
-        """Drop the local LRU and every shard (counters are kept)."""
-        super().clear()
-        self._tier.clear()
-
-    def invalidate(self, keys: Iterable[Hashable]) -> int:
-        """Drop ``keys`` from the local LRU AND the shared tier.
-
-        Write-through invalidation: the same keys leave every tier (the
-        shard stores and their write-back files included), so a fleet
-        member cannot re-promote a retired entry.  Returns the local
-        drop count; the tier's own count shows up per shard in
-        :meth:`tier_depth` (``invalidations``).
-        """
-        keys = list(keys)
-        dropped = super().invalidate(keys)
-        self._tier.invalidate([encode_key(key) for key in keys])
-        return dropped
-
-    def close(self) -> None:
-        self._tier.close()
-
-    def __repr__(self) -> str:
-        tier = (
-            f"address={self._tier.address!r}"
-            if isinstance(self._tier, ShardClient)
-            else f"n_shards={self._tier.n_shards}"
-        )
-        return (
-            f"ShardedSolverCache(size={len(self)}, "
-            f"capacity={self.capacity}, {tier})"
-        )
+        super().__init__(capacity, tier=tier, flight_timeout=flight_timeout)

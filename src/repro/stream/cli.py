@@ -196,6 +196,5 @@ def run_replay(args) -> int:
             "from-scratch evaluation"
         )
     engine.close()
-    if args.shards is not None:
-        cache.close()
+    cache.close()
     return 0

@@ -21,8 +21,7 @@ from repro.datasets.crowdrank import crowdrank_database
 from repro.db.mutable import MutablePPDatabase
 from repro.service.cache import SolverCache
 from repro.service.executors import ProcessBackend, SerialBackend, ThreadBackend
-from repro.service.persist import PersistentSolverCache
-from repro.service.shard import ShardCacheServer, ShardedSolverCache
+from repro.service.shard import ShardCacheServer, ShardGroup, ShardedSolverCache
 from repro.stream.standing import StandingQueryEngine, answers_equal
 
 #: An itemwise two-label query, and a session-joined two-hop query that
@@ -75,7 +74,9 @@ def _open_cache(kind, tmp_path, stack):
     if kind == "lru":
         return SolverCache(64)
     if kind == "persistent":
-        cache = PersistentSolverCache(64, tmp_path / "matrix.sqlite")
+        cache = SolverCache(
+            64, tier=ShardGroup(1, cache_db=tmp_path / "matrix.sqlite")
+        )
     elif kind == "shard-embedded":
         cache = ShardedSolverCache(64, n_shards=2)
     else:

@@ -15,7 +15,7 @@ import pytest
 from repro.api.evaluate import answer
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
-from repro.server.http import MAX_BODY_BYTES, run_server
+from repro.server.http import MAX_BODY_BYTES, MAX_HEADERS, run_server
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -385,10 +385,19 @@ _LONG_HEADER = b"X-Pad: " + b"a" * (65 * 1024) + b"\r\n"
             413,
         ),
         (b"NONSENSE\r\n\r\n", 400),
+        (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(
+                b"X-H%d: v\r\n" % index for index in range(MAX_HEADERS + 1)
+            )
+            + b"\r\n",
+            431,
+        ),
     ],
     ids=[
         "negative-length", "non-numeric-length", "long-header",
         "long-request-line", "oversized-body", "malformed-request-line",
+        "too-many-headers",
     ],
 )
 def test_malformed_http_gets_a_status_then_close(raw, status):

@@ -452,6 +452,37 @@ class TestPreferenceService:
         assert warm.n_cache_hits == cold.n_distinct_solves
         assert warm.values == cold.values
 
+    def test_threads_sharing_the_default_cache_solve_each_key_once(self):
+        # Two threads answer one cold batch through one service: the
+        # default cache's flight table lets one thread solve each key
+        # while the other waits for it, so together they solve the batch
+        # once.
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.__main__ import batch_queries
+        from repro.datasets.crowdrank import crowdrank_database
+
+        db = crowdrank_database(n_workers=60, n_movies=8, seed=3)
+        queries = batch_queries(8)
+        once = PreferenceService().answer_many(queries, db)
+        service = PreferenceService()
+        barrier = threading.Barrier(2)
+
+        def run(_):
+            barrier.wait(10.0)
+            return service.answer_many(queries, db)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            batches = list(pool.map(run, range(2)))
+        assert once.n_distinct_solves > 0
+        assert (
+            sum(batch.n_distinct_solves for batch in batches)
+            == once.n_distinct_solves
+        )
+        for batch in batches:
+            assert batch.values == once.values
+
     def test_worker_pool_matches_serial(self, db):
         serial = PreferenceService(max_workers=1).answer_many(self.QUERIES, db)
         threaded = PreferenceService(max_workers=4).answer_many(

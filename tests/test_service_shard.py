@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.crowdrank import crowdrank_database
-from repro.service.cache import SolverCache
+from repro.service.cache import SolverCache, Tier
 from repro.service.persist import default_version, encode_key
 from repro.service.service import PreferenceService
 from repro.service.shard import (
@@ -26,7 +26,6 @@ from repro.service.shard import (
     ShardClient,
     ShardGroup,
     ShardProtocolError,
-    ShardStore,
     ShardedSolverCache,
     shard_db_path,
     shard_of,
@@ -90,33 +89,13 @@ class TestShardOf:
 
 class TestShardStore:
     def test_lru_eviction_per_shard(self):
-        store = ShardStore(capacity=2)
-        store.put_many([("a", (0.1, "s")), ("b", (0.2, "s"))])
-        assert store.get("a") == (0.1, "s")  # refreshes recency
-        store.put_many([("c", (0.3, "s"))])
-        assert store.get("b") is None
-        assert store.get("a") == (0.1, "s")
-        assert store.stats()["evictions"] == 1
-
-    def test_claim_wait_release_cycle(self):
-        store = ShardStore(capacity=8)
-        assert store.claim("k") == ("claimed", None)
-        assert store.claim("k") == ("wait", None)
-        store.put_many([("k", (0.5, "s"))])
-        assert store.wait("k", 1.0) == (0.5, "s")
-        assert store.claim("k") == ("value", (0.5, "s"))
-
-    def test_abandoned_claim_unblocks_waiters(self):
-        store = ShardStore(capacity=8)
-        assert store.claim("k") == ("claimed", None)
-        waited = []
-        thread = threading.Thread(
-            target=lambda: waited.append(store.wait("k", 5.0))
-        )
-        thread.start()
-        store.release("k")  # owner gives up without publishing
-        thread.join(5.0)
-        assert waited == [None]
+        group = ShardGroup(n_shards=1, capacity=2)
+        group.put_many([("a", (0.1, "s")), ("b", (0.2, "s"))])
+        assert group.get("a") == (0.1, "s")  # refreshes recency
+        group.put_many([("c", (0.3, "s"))])
+        assert group.get("b") is None
+        assert group.get("a") == (0.1, "s")
+        assert group.stats()["totals"]["evictions"] == 1
 
     def test_interleaved_writers_across_shards(self, tmp_path):
         # Concurrent batch writers hitting all shards at once: every
@@ -166,25 +145,87 @@ class TestShardStore:
 
 
 # ----------------------------------------------------------------------
+# The Tier contract, embedded and attached
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(params=["embedded", "attached"])
+def connect(request):
+    """Hands out handles on one fresh two-shard tier: the same embedded
+    ``ShardGroup`` every time, or a new ``ShardClient`` per call."""
+    if request.param == "embedded":
+        group = ShardGroup(n_shards=2, capacity=64)
+        yield lambda: group
+        group.close()
+        return
+    with ShardCacheServer(n_shards=2, capacity=64) as server:
+        clients: list[ShardClient] = []
+
+        def client():
+            clients.append(ShardClient(server.address))
+            return clients[-1]
+
+        yield client
+        for handle in clients:
+            handle.close()
+
+
+def _wait_in_thread(tier: Tier, key: str, timeout: float):
+    """Start ``tier.wait(key, timeout)`` on a thread; returns (thread, out)."""
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(tier.wait(key, timeout)))
+    thread.start()
+    return thread, out
+
+
+def test_tier_contract(connect):
+    tier: Tier = connect()
+    peer: Tier = connect()
+
+    assert tier.get("k") is None
+    tier.put_many([("k", (0.25, "lifted"))])
+    assert peer.get("k") == (0.25, "lifted")
+    assert peer.claim("k") == ("value", (0.25, "lifted"))
+
+    # Single-flight: one owner, and a publish wakes the waiter with it.
+    assert tier.claim("hot") == ("claimed", None)
+    assert peer.claim("hot") == ("wait", None)
+    thread, waited = _wait_in_thread(peer, "hot", 10.0)
+    tier.put_many([("hot", (0.75, "two_label"))])
+    thread.join(10.0)
+    assert not thread.is_alive() and waited == [(0.75, "two_label")]
+
+    # An abandoned claim wakes its waiter empty-handed and is claimable.
+    assert tier.claim("lost") == ("claimed", None)
+    thread, waited = _wait_in_thread(peer, "lost", 10.0)
+    tier.release("lost")
+    thread.join(10.0)
+    assert not thread.is_alive() and waited == [None]
+    assert peer.claim("lost") == ("claimed", None)
+    assert peer.wait("lost", 0.05) is None  # times out: nobody publishes
+    peer.release("lost")
+
+    assert tier.invalidate(["k", "ghost"]) == 1
+    assert peer.get("k") is None
+    stats = peer.stats()
+    assert stats["n_shards"] == 2
+    assert stats["version"] == default_version()
+    assert len(stats["shards"]) == 2
+    totals = stats["totals"]
+    assert totals["size"] == 1 and totals["invalidations"] == 1
+    assert totals["in_flight"] == 0
+
+    tier.clear()
+    assert peer.get("hot") is None
+    assert peer.stats()["totals"]["size"] == 0
+
+
+# ----------------------------------------------------------------------
 # The cache-server protocol
 # ----------------------------------------------------------------------
 
 
 class TestShardServer:
-    def test_round_trip_and_stats(self):
-        with ShardCacheServer(n_shards=2, capacity=64) as server:
-            client = ShardClient(server.address)
-            assert client.get("k") is None
-            client.put_many([("k", (0.25, "lifted"))])
-            assert client.get("k") == (0.25, "lifted")
-            stats = client.stats()
-            assert stats["n_shards"] == 2
-            assert stats["totals"]["size"] == 1
-            assert stats["version"] == default_version()
-            client.clear()
-            assert client.get("k") is None
-            client.close()
-
     def test_version_handshake_rejects_stale_clients(self):
         group = ShardGroup(n_shards=1, capacity=8, version="old-format/k0")
         with ShardCacheServer(group=group) as server:
@@ -192,25 +233,6 @@ class TestShardServer:
             with pytest.raises(ShardProtocolError, match="version mismatch"):
                 client.get("k")
             client.close()
-
-    def test_single_flight_across_clients(self):
-        # Two fleet members race one key: exactly one claims, the other
-        # waits and reads the published value.
-        with ShardCacheServer(n_shards=2, capacity=64) as server:
-            owner = ShardClient(server.address)
-            peer = ShardClient(server.address)
-            assert owner.claim("hot") == ("claimed", None)
-            assert peer.claim("hot") == ("wait", None)
-            waited = []
-            thread = threading.Thread(
-                target=lambda: waited.append(peer.wait("hot", 10.0))
-            )
-            thread.start()
-            owner.put_many([("hot", (0.75, "two_label"))])
-            thread.join(10.0)
-            assert waited == [(0.75, "two_label")]
-            owner.close()
-            peer.close()
 
     def test_malformed_put_many_is_rejected(self):
         with ShardCacheServer(n_shards=1, capacity=8) as server:
@@ -234,6 +256,27 @@ class TestShardServer:
     def test_bad_address_rejected(self):
         with pytest.raises(ValueError, match="host:port"):
             ShardClient("nonsense")
+
+    def test_disconnect_releases_orphaned_claims(self):
+        # A client that claims a key and disconnects must not leave every
+        # later claimer waiting out the flight: the server releases the
+        # connection's unpublished claims when it ends.
+        with ShardCacheServer(n_shards=2, capacity=8) as server:
+            owner = ShardClient(server.address)
+            peer = ShardClient(server.address)
+            assert owner.claim("k") == ("claimed", None)
+            assert owner.claim("kept") == ("claimed", None)
+            owner.put_many([("kept", (0.5, "s"))])  # published: not orphaned
+            assert peer.claim("k") == ("wait", None)
+            owner.close()
+            deadline = time.perf_counter() + 0.5
+            while (status := peer.claim("k")) != ("claimed", None):
+                assert status == ("wait", None)
+                assert time.perf_counter() < deadline
+                time.sleep(0.01)
+            assert peer.stats()["totals"]["in_flight"] == 1  # peer's own
+            assert peer.get("kept") == (0.5, "s")
+            peer.close()
 
     def test_close_is_prompt_with_a_connected_client(self):
         # A blocked accept() and a handler blocked on an idle client's

@@ -23,12 +23,13 @@ from repro.rim.mallows import Mallows
 from repro.server.app import ServerApp
 from repro.server.config import ServerConfig
 from repro.service.cache import SolverCache
-from repro.service.persist import PersistentSolverCache, encode_key
+from repro.service.persist import encode_key
 from repro.service.shard import (
     ShardCacheServer,
     ShardClient,
-    ShardedSolverCache,
+    ShardGroup,
     ShardProtocolError,
+    ShardedSolverCache,
 )
 from repro.stream import (
     StandingQueryEngine,
@@ -172,13 +173,13 @@ class TestInvalidate:
 
     def test_persistent_cache_drops_from_disk(self, tmp_path):
         path = tmp_path / "cache.sqlite"
-        cache = PersistentSolverCache(capacity=8, db_path=path)
+        cache = SolverCache(8, tier=ShardGroup(1, cache_db=path))
         cache.put_many([("a", (0.25, "lifted")), ("b", (0.5, "lifted"))])
         assert cache.invalidate(["a"]) == 1
-        assert cache.persistent.stats()["disk_invalidations"] == 1
+        assert cache.tier_stats()["disk_invalidations"] == 1
         cache.close()
         # A cold restart over the same file must not resurrect the key.
-        reopened = PersistentSolverCache(capacity=8, db_path=path)
+        reopened = SolverCache(8, tier=ShardGroup(1, cache_db=path))
         assert reopened.get("a") is None
         assert reopened.get("b") == (0.5, "lifted")
         reopened.close()
